@@ -1,51 +1,19 @@
 """Command-line driver: validate, run, and sweep experiment configs.
 
-Configs are strict-schema JSON: unknown fields are rejected with the JSON
-path in the message. Every run writes its result files plus a manifest
-recording the config hash, package and library versions, and all derived
-parameters, so outputs are reproducible byte for byte. Exit codes: 0 on
-success, 2 for configuration problems, 3 for numerical failures (with a
-diagnostics file).
+A config is a JSON object whose sections are declared once, below:
+``_TOP`` for the top level, ``RUNS`` for each run's runner, lattice shape,
+excitation and ``params`` (checks and defaults), and ``_LATTICE``,
+``_PATTERNS``, ``_INTERFACE`` and ``_EXCITATION`` for the rest. Units: J and
+re_beta in 1/um, spacing d and stripe width w in um. ``"hopping_J": "auto"``
+and loss given as ``im_beta`` or ``w`` go through the calibration module.
 
-Config layout::
-
-    {
-      "run": "spectrum" | "propagate" | "momentum" | "winding" | "symmetry"
-             | "ep-sweep" | "interface-compare" | "fit" | "calibrate",
-      "output_dir": "out/...",
-      "seed": 0,                      # recorded; runs are deterministic
-      "lattice": { ... },             # for runs that build a lattice
-      "excitation": {"kind": "edge" | "bulk_cell_start" | "interface"
-                             | "site_index", "site": 7, "amplitude": [1, 0]},
-      "params": { ... },              # run-specific options
-      "grid": [{"path": "lattice.pattern.g2", "values": [...]}, ...]
-    }
-
-Lattice description (units: J and re_beta in 1/um, spacing d in um)::
-
-    {"n_sites": 40, "hopping_J": 0.045 | "auto", "spacing_d": 1.4,
-     "re_beta": 6.6, "pattern": PATTERN}
-    {"hopping_J": ..., "spacing_d": ...,
-     "interface": {"n_left_cells": 6, "n_right_cells": 6,
-                   "left": PATTERN, "right": PATTERN}}
-
-where ``"auto"`` derives the hopping from the spacing calibration, and the
-interface block accepts the shorthand ``{"g": ...}``, ``{"im_beta": ...}``
-or ``{"w": ...}`` for a trivial|topological junction with symmetric loss.
-PATTERN is one of::
-
-    {"phase": "I"}
-    {"phase": "II" | "III", "g": 1.1}          # or "im_beta": ..., "w": ...
-    {"g0": 1.1, "g1": 1.1, "g2": -1.1}
-    {"phase": "custom", "g0": 0.0, "cell": [[re, im], ...4 entries...]}
-
-Loss given as ``im_beta`` (1/um) or stripe width ``w`` (um) is converted
-through the calibration module and the derived values land in the manifest.
-
-A config with a ``grid`` section describes a sweep over one or two dotted
-config paths; ``run`` executes it the same way ``sweep`` does. Sweep points
-may execute on a thread pool sized by the ``NHLATTICE_WORKERS`` environment
-variable; outputs are ordered by grid index regardless.
+``validate`` applies every check that does not need the built lattice and
+names the offending JSON path. Exit codes: 0 on success, 2 for
+configuration problems, 3 for numerical failures (with a
+``diagnostics.json``). Each run writes a ``manifest.json`` with the config
+hash, versions and all derived parameters; outputs are byte-reproducible.
+A ``grid`` sweeps one or two dotted config paths, on a thread pool sized by
+``NHLATTICE_WORKERS``; a failing point is recorded and the sweep goes on.
 """
 
 from __future__ import annotations
@@ -54,11 +22,13 @@ import argparse
 import itertools
 import json
 import os
+import reprlib
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from copy import deepcopy
+from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy
@@ -68,57 +38,13 @@ from . import symmetry as symmetry_mod
 from . import topology
 from .errors import ConfigurationError, NumericalError
 from .lattice import (
+    DEFAULT_RE_BETA,
     LatticeSpec,
     LossPattern,
     interface_lattice,
     real_space_hamiltonian,
 )
 from .propagation import Excitation
-
-RUNS = (
-    "spectrum",
-    "propagate",
-    "momentum",
-    "winding",
-    "symmetry",
-    "ep-sweep",
-    "interface-compare",
-    "fit",
-    "calibrate",
-)
-
-_NEEDS_LATTICE = {
-    "spectrum", "propagate", "momentum", "winding", "ep-sweep",
-    "interface-compare", "fit",
-}
-_NEEDS_EXCITATION = {"propagate", "momentum", "fit"}
-
-_PARAM_SCHEMA: Dict[str, Dict[str, Any]] = {
-    "spectrum": {"zero_mode_tol": float, "include_vectors": bool},
-    "propagate": {
-        "z_max": float, "dz": float, "method": str,
-        "save_amplitudes": bool, "save_every": int,
-    },
-    "momentum": {
-        "z_max": float, "dz": float, "method": str,
-        "window": str, "pad_factor": int, "kz_window": list,
-    },
-    "winding": {"k_grid_size": int, "g2_values": list, "exclusion": float},
-    "symmetry": {"cases": list, "k_samples": int, "g": float},
-    "ep-sweep": {"j_min": float, "j_max": float, "j_step": float},
-    "interface-compare": {
-        "g2_min": float, "g2_max": float, "g2_step": float,
-        "n_cells_per_side": int, "n_sites_defect": int,
-    },
-    "fit": {
-        "fit": str, "site": (int, str), "z_max": float, "dz": float,
-        "method": str, "fit_ranges": list, "fit_range": list,
-    },
-    "calibrate": {
-        "kind": str, "model": str, "points": (list, str),
-        "points_file": str, "fixed_x0": float, "predict_at": list,
-    },
-}
 
 
 class ConfigError(ConfigurationError):
@@ -129,231 +55,231 @@ class ConfigError(ConfigurationError):
         self.json_path = path
 
 
-def _typename(t) -> str:
-    if isinstance(t, tuple):
-        return " or ".join(x.__name__ for x in t)
-    return t.__name__
+# ---------------------------------------------------------------------------
+# field rules and sections
 
 
-def _check_type(value, expected, path: str):
-    if expected is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(path, f"expected number, got {type(value).__name__}")
-        return float(value)
-    if expected is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(path, f"expected integer, got {type(value).__name__}")
-        return value
-    if not isinstance(value, expected):
-        raise ConfigError(path, f"expected {_typename(expected)}, got {type(value).__name__}")
-    return value
+class Rule(NamedTuple):
+    """The values a config field accepts: a description and a test."""
+
+    what: str
+    ok: Callable[[Any], bool]
 
 
-def _check_keys(obj: dict, path: str, required: Dict[str, Any], optional: Dict[str, Any]):
+REQUIRED = object()
+
+
+def _is_num(v) -> bool:
+    # json.loads accepts NaN and Infinity; neither is a usable input
+    return (
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+        and abs(v) <= sys.float_info.max
+    )
+
+
+def _int(lo: Optional[int] = None) -> Rule:
+    return Rule(
+        "an integer" + ("" if lo is None else f" >= {lo}"),
+        lambda v: isinstance(v, int) and not isinstance(v, bool)
+        and (lo is None or v >= lo),
+    )
+
+
+def _one_of(*choices: str) -> Rule:
+    return Rule(" or ".join(map(repr, choices)), lambda v: isinstance(v, str) and v in choices)
+
+
+def _list(what: str, item: Rule, n: Optional[int] = None) -> Rule:
+    return Rule(what, lambda v: isinstance(v, list) and (n is None or len(v) == n)
+                and all(item.ok(x) for x in v))
+
+
+def _either(a: Rule, b: Rule) -> Rule:
+    return Rule(f"{a.what} or {b.what}", lambda v: a.ok(v) or b.ok(v))
+
+
+NUM = Rule("a finite number", _is_num)
+POS = Rule("a number > 0", lambda v: _is_num(v) and v > 0)
+NONNEG = Rule("a number >= 0", lambda v: _is_num(v) and v >= 0)
+BOOL = Rule("true or false", lambda v: isinstance(v, bool))
+STR = Rule("a string", lambda v: isinstance(v, str))
+OBJ = Rule("an object", lambda v: isinstance(v, dict))
+NUMS = _list("a list of finite numbers", NUM)
+PAIR = _list("a pair of finite numbers", NUM, 2)
+RANGE = Rule("a pair [lo, hi] with lo < hi", lambda v: PAIR.ok(v) and v[0] < v[1])
+
+
+def _fail(path: str, rule: Rule, value):
+    raise ConfigError(path, f"expected {rule.what}, got {reprlib.repr(value)}")
+
+
+def _section(obj, fields: Dict[str, Tuple[Rule, Any]], path: str) -> dict:
+    """Check ``obj`` against ``fields``; return a copy with defaults filled in."""
     if not isinstance(obj, dict):
-        raise ConfigError(path, f"expected object, got {type(obj).__name__}")
+        _fail(path, OBJ, obj)
     for key in obj:
-        if key not in required and key not in optional:
+        if key not in fields:
             raise ConfigError(f"{path}.{key}", "unknown field")
     out = {}
-    for key, typ in required.items():
+    for key, (rule, default) in fields.items():
         if key not in obj:
-            raise ConfigError(f"{path}.{key}", "missing required field")
-        out[key] = _check_type(obj[key], typ, f"{path}.{key}")
-    for key, typ in optional.items():
-        if key in obj:
-            out[key] = _check_type(obj[key], typ, f"{path}.{key}")
+            if default is REQUIRED:
+                raise ConfigError(f"{path}.{key}", "missing required field")
+            out[key] = default
+        elif rule.ok(obj[key]):
+            out[key] = obj[key]
+        else:
+            _fail(f"{path}.{key}", rule, obj[key])
     return out
 
 
-def _validate_pattern(obj, path: str):
-    _check_keys(
-        obj, path,
-        required={},
-        optional={
-            "phase": str, "g": float, "g0": float, "g1": float, "g2": float,
-            "im_beta": float, "w": float, "cell": list,
-        },
-    )
+# Loss of a phase II/III pattern or an interface shorthand: exactly one.
+_LOSS = {"g": (NONNEG, None), "im_beta": (NONNEG, None), "w": (NONNEG, None)}
+
+# Pattern fields per "phase"; without a phase, an explicit (g0, g1, g2).
+_TRIPLE = {"g0": (NONNEG, REQUIRED), "g1": (NUM, REQUIRED), "g2": (NUM, REQUIRED)}
+_PATTERNS = {
+    "I": {},
+    "II": _LOSS,
+    "III": _LOSS,
+    "custom": {
+        "cell": (_list("four [re, im] pairs", PAIR, 4), REQUIRED),
+        "g0": (NONNEG, 0.0),
+    },
+}
+_PHASE = _one_of(*_PATTERNS)
+
+# Without left/right domains, the interface is a II|III junction whose
+# symmetric loss is given by one of the _LOSS fields.
+_INTERFACE = {
+    "n_left_cells": (_int(1), REQUIRED),
+    "n_right_cells": (_int(1), REQUIRED),
+    "left": (OBJ, None),
+    "right": (OBJ, None),
+    **_LOSS,
+}
+
+_LATTICE = {
+    "hopping_J": (_either(POS, _one_of("auto")), REQUIRED),
+    "spacing_d": (POS, REQUIRED),
+    "re_beta": (NUM, DEFAULT_RE_BETA),
+    "n_sites": (_int(1), None),
+    "pattern": (OBJ, None),
+    "interface": (OBJ, None),
+}
+
+# The structural lattice fields each kind of run takes, besides J and d.
+_SHAPES = {
+    "chain": (("n_sites", "pattern"), ("interface",)),
+    "interface": (("interface",),),
+    "cell": (("pattern",), ()),
+    "bare": ((),),
+}
+
+_EXCITATION = {
+    "kind": (_one_of(propagation.KIND_EDGE, propagation.KIND_BULK,
+                     propagation.KIND_INTERFACE, propagation.KIND_SITE), REQUIRED),
+    "site": (_int(1), None),
+    "amplitude": (PAIR, (1.0, 0.0)),
+}
+
+
+def _one_loss(obj: dict, path: str):
+    if sum(obj[k] is not None for k in _LOSS) != 1:
+        raise ConfigError(path, "needs exactly one of g, im_beta, w")
+
+
+def _check_pattern(obj, path: str) -> dict:
+    if not isinstance(obj, dict):
+        _fail(path, OBJ, obj)
     phase = obj.get("phase")
-    if phase is None:
-        for key in ("g0", "g1", "g2"):
-            if key not in obj:
-                raise ConfigError(f"{path}.{key}", "required without a phase preset")
-        return
-    if phase == "I":
-        extra = set(obj) - {"phase"}
-        if extra:
-            raise ConfigError(f"{path}.{sorted(extra)[0]}", "phase I takes no amplitudes")
-    elif phase in ("II", "III"):
-        sources = [k for k in ("g", "im_beta", "w") if k in obj]
-        if len(sources) != 1:
-            raise ConfigError(path, "phase II/III needs exactly one of g, im_beta, w")
-    elif phase == "custom":
-        if "cell" not in obj:
-            raise ConfigError(f"{path}.cell", "custom pattern requires a 4-entry cell")
-        if len(obj["cell"]) != 4:
-            raise ConfigError(f"{path}.cell", "cell must have exactly 4 entries")
-        for i, entry in enumerate(obj["cell"]):
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise ConfigError(f"{path}.cell[{i}]", "expected [re, im]")
+    if "phase" in obj and not _PHASE.ok(phase):
+        _fail(f"{path}.phase", _PHASE, phase)
+    rest = {k: v for k, v in obj.items() if k != "phase"}
+    pattern = _section(rest, _PATTERNS.get(phase, _TRIPLE), path)
+    if phase in ("II", "III"):
+        _one_loss(pattern, path)
+    pattern["phase"] = phase
+    return pattern
+
+
+def _check_interface(obj, path: str) -> dict:
+    iface = _section(obj, _INTERFACE, path)
+    domains = [iface[k] is not None for k in ("left", "right")]
+    if domains[0] != domains[1]:
+        raise ConfigError(path, "left and right go together")
+    if domains[0]:
+        if any(iface[k] is not None for k in _LOSS):
+            raise ConfigError(path, "domains and shorthand are exclusive")
+        for side in ("left", "right"):
+            iface[side] = _check_pattern(iface[side], f"{path}.{side}")
     else:
-        raise ConfigError(f"{path}.phase", f"unknown phase {phase!r}")
+        _one_loss(iface, path)
+        loss = {k: iface[k] for k in _LOSS}
+        iface["left"] = {"phase": "II", **loss}
+        iface["right"] = {"phase": "III", **loss}
+    return iface
 
 
-def _validate_lattice(obj, path: str, run: str):
-    _check_keys(
-        obj, path,
-        required={"spacing_d": float},
-        optional={
-            "n_sites": int, "hopping_J": (int, float, str), "re_beta": float,
-            "pattern": dict, "interface": dict,
-        },
-    )
-    hop = obj.get("hopping_J")
-    if hop is None:
-        raise ConfigError(f"{path}.hopping_J", "missing required field")
-    if isinstance(hop, str) and hop != "auto":
-        raise ConfigError(f"{path}.hopping_J", "must be a number or 'auto'")
-    if "pattern" in obj and "interface" in obj:
-        raise ConfigError(path, "give either pattern or interface, not both")
-    if "interface" in obj:
-        iface = _check_keys(
-            obj["interface"], f"{path}.interface",
-            required={"n_left_cells": int, "n_right_cells": int},
-            optional={
-                "left": dict, "right": dict,
-                "g": float, "im_beta": float, "w": float,
-            },
-        )
-        shorthand = [k for k in ("g", "im_beta", "w") if k in iface]
-        if ("left" in iface) != ("right" in iface):
-            raise ConfigError(f"{path}.interface", "left and right go together")
-        if "left" in iface and shorthand:
-            raise ConfigError(f"{path}.interface", "domains and shorthand are exclusive")
-        if "left" not in iface and len(shorthand) != 1:
-            raise ConfigError(
-                f"{path}.interface", "needs left/right domains or one of g, im_beta, w"
-            )
-        if "left" in iface:
-            _validate_pattern(obj["interface"]["left"], f"{path}.interface.left")
-            _validate_pattern(obj["interface"]["right"], f"{path}.interface.right")
-        if "n_sites" in obj:
-            raise ConfigError(f"{path}.n_sites", "derived from interface cells; remove it")
-    elif "pattern" in obj:
-        _validate_pattern(obj["pattern"], f"{path}.pattern")
-
-    needs_sites = run in ("spectrum", "propagate", "momentum", "fit")
-    if needs_sites and "interface" not in obj and "n_sites" not in obj:
-        raise ConfigError(f"{path}.n_sites", f"required for run '{run}'")
-    if run in ("spectrum", "propagate", "momentum", "fit"):
-        if "pattern" not in obj and "interface" not in obj:
-            raise ConfigError(f"{path}.pattern", f"required for run '{run}'")
-    if run == "ep-sweep" and "interface" not in obj:
-        raise ConfigError(f"{path}.interface", "ep-sweep requires an interface lattice")
+def _check_lattice(obj, path: str, run: str) -> dict:
+    lat = _section(obj, _LATTICE, path)
+    shape = tuple(k for k in ("n_sites", "pattern", "interface") if lat[k] is not None)
+    shapes = _SHAPES[RUNS[run].lattice]
+    if shape not in shapes:
+        takes = " or ".join(" + ".join(s) or "J and d alone" for s in shapes)
+        raise ConfigError(path, f"run '{run}' takes {takes}")
+    if lat["pattern"] is not None:
+        lat["pattern"] = _check_pattern(lat["pattern"], f"{path}.pattern")
+    if lat["interface"] is not None:
+        lat["interface"] = _check_interface(lat["interface"], f"{path}.interface")
+    return lat
 
 
-def _validate_excitation(obj, path: str):
-    fields = _check_keys(
-        obj, path,
-        required={"kind": str},
-        optional={"site": int, "amplitude": list},
-    )
-    if fields["kind"] not in ("edge", "bulk_cell_start", "interface", "site_index"):
-        raise ConfigError(f"{path}.kind", f"unknown kind {fields['kind']!r}")
-    if fields["kind"] == "site_index" and "site" not in obj:
+def _check_excitation(obj, path: str) -> dict:
+    exc = _section(obj, _EXCITATION, path)
+    if exc["kind"] == propagation.KIND_SITE and exc["site"] is None:
         raise ConfigError(f"{path}.site", "required for site_index excitation")
-    if "amplitude" in obj and len(obj["amplitude"]) != 2:
-        raise ConfigError(f"{path}.amplitude", "expected [re, im]")
+    return exc
 
 
-def validate_config(cfg: dict, path: str = "config") -> dict:
-    """Strict structural validation; returns the config unchanged."""
-    top = _check_keys(
-        cfg, path,
-        required={"run": str, "output_dir": str},
-        optional={
-            "lattice": dict, "excitation": dict, "params": dict,
-            "grid": list, "seed": int,
-        },
-    )
-    run = top["run"]
-    if run not in RUNS:
-        raise ConfigError(f"{path}.run", f"unknown run {run!r}; choose from {RUNS}")
-    if run in _NEEDS_LATTICE:
-        if "lattice" not in cfg:
-            raise ConfigError(f"{path}.lattice", f"required for run '{run}'")
-        _validate_lattice(cfg["lattice"], f"{path}.lattice", run)
-    elif "lattice" in cfg:
-        raise ConfigError(f"{path}.lattice", f"not used by run '{run}'")
-    if run in _NEEDS_EXCITATION:
-        if "excitation" not in cfg:
-            raise ConfigError(f"{path}.excitation", f"required for run '{run}'")
-        _validate_excitation(cfg["excitation"], f"{path}.excitation")
-    elif "excitation" in cfg:
-        raise ConfigError(f"{path}.excitation", f"not used by run '{run}'")
-
-    schema = _PARAM_SCHEMA[run]
-    params = cfg.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"{path}.params", "expected object")
-    for key, value in params.items():
-        if key not in schema:
-            raise ConfigError(f"{path}.params.{key}", f"unknown parameter for run '{run}'")
-        _check_type(value, schema[key], f"{path}.params.{key}")
-
-    if "grid" in cfg:
-        grid = cfg["grid"]
-        if not 1 <= len(grid) <= 2:
-            raise ConfigError(f"{path}.grid", "grid takes one or two parameters")
-        for i, entry in enumerate(grid):
-            g = _check_keys(
-                entry, f"{path}.grid[{i}]",
-                required={"path": str, "values": list},
-                optional={},
-            )
-            if not g["values"]:
-                raise ConfigError(f"{path}.grid[{i}].values", "empty grid")
-            _resolve_path(cfg, g["path"], f"{path}.grid[{i}].path")
-    return cfg
-
-
-def _resolve_path(cfg: dict, dotted: str, err_path: str) -> Tuple[dict, str]:
-    """Walk a dotted path to (parent, leaf); every segment must exist."""
-    parts = dotted.split(".")
-    node = cfg
-    for seg in parts[:-1]:
-        if not isinstance(node, dict) or seg not in node:
-            raise ConfigError(err_path, f"path segment {seg!r} not found in config")
-        node = node[seg]
-    if not isinstance(node, dict) or parts[-1] not in node:
-        raise ConfigError(err_path, f"path leaf {parts[-1]!r} not found in config")
-    return node, parts[-1]
+def _scan(lo: float, hi: float, step: float) -> List[float]:
+    """lo, lo + step, ... up to hi (to the nearest step)."""
+    return [lo + i * step for i in range(int(round((hi - lo) / step)) + 1)]
 
 
 # ---------------------------------------------------------------------------
 # construction of model objects (with derived-parameter recording)
 
 
-def _pattern_from_config(obj: dict, J: float, derived: dict, tag: str) -> LossPattern:
-    phase = obj.get("phase")
+def _hopping(lat: dict, derived: dict) -> float:
+    """The lattice's J in 1/um; ``"auto"`` comes from the spacing calibration."""
+    hop = lat["hopping_J"]
+    if hop == "auto":
+        hop = float(calibration.default_hopping_curve().predict(lat["spacing_d"]))
+        derived["lattice.hopping_J_from_spacing"] = hop
+    derived["lattice.hopping_J"] = hop
+    derived["lattice.spacing_d"] = lat["spacing_d"]
+    return hop
+
+
+def _loss_pattern(p: dict, J: float, derived: dict, tag: str) -> LossPattern:
+    """A checked pattern section as a LossPattern; ``w`` and ``im_beta`` go
+    through the calibration."""
+    phase = p["phase"]
     if phase is None:
-        return LossPattern.from_g(obj["g0"], obj["g1"], obj["g2"])
+        return LossPattern.from_g(p["g0"], p["g1"], p["g2"])
     if phase == "I":
         return LossPattern.lossless()
     if phase == "custom":
-        cell = [complex(re, im) for re, im in obj["cell"]]
-        return LossPattern.custom(cell, g0=obj.get("g0", 0.0))
-    if "w" in obj:
-        im_beta = float(calibration.default_imbeta_curve().predict(obj["w"]))
+        return LossPattern.custom([complex(re, im) for re, im in p["cell"]], g0=p["g0"])
+    im_beta = p["im_beta"]
+    if p["w"] is not None:
+        im_beta = float(calibration.default_imbeta_curve().predict(p["w"]))
         derived[f"{tag}.im_beta_from_w"] = im_beta
+    g = p["g"]
+    if im_beta is not None:
         g = calibration.g2_of(im_beta, J)
         derived[f"{tag}.g_from_im_beta"] = g
-    elif "im_beta" in obj:
-        g = calibration.g2_of(obj["im_beta"], J)
-        derived[f"{tag}.g_from_im_beta"] = g
-    else:
-        g = obj["g"]
     if g == 0.0:
         return LossPattern.lossless()
     if phase == "II":
@@ -361,26 +287,15 @@ def _pattern_from_config(obj: dict, J: float, derived: dict, tag: str) -> LossPa
     return LossPattern.topological(g)
 
 
-def build_lattice(obj: dict, derived: dict) -> LatticeSpec:
-    hop = obj["hopping_J"]
-    d = obj["spacing_d"]
-    if hop == "auto":
-        hop = float(calibration.default_hopping_curve().predict(d))
-        derived["lattice.hopping_J_from_spacing"] = hop
-    re_beta = obj.get("re_beta", 6.6)
-    # manifest completeness: every physical parameter used downstream
-    derived["lattice.hopping_J"] = hop
-    derived["lattice.spacing_d"] = d
+def build_lattice(lat: dict, derived: dict) -> LatticeSpec:
+    """The chain of a checked lattice section."""
+    hop = _hopping(lat, derived)
+    d, re_beta = lat["spacing_d"], lat["re_beta"]
     derived["lattice.re_beta"] = re_beta
-    if "interface" in obj:
-        iface = obj["interface"]
-        if "left" in iface:
-            left = _pattern_from_config(iface["left"], hop, derived, "lattice.interface.left")
-            right = _pattern_from_config(iface["right"], hop, derived, "lattice.interface.right")
-        else:
-            src = {k: iface[k] for k in ("g", "im_beta", "w") if k in iface}
-            left = _pattern_from_config({"phase": "II", **src}, hop, derived, "lattice.interface.left")
-            right = _pattern_from_config({"phase": "III", **src}, hop, derived, "lattice.interface.right")
+    if lat["interface"] is not None:
+        iface = lat["interface"]
+        left = _loss_pattern(iface["left"], hop, derived, "lattice.interface.left")
+        right = _loss_pattern(iface["right"], hop, derived, "lattice.interface.right")
         base = LatticeSpec(
             n_sites=4, hopping_J=hop, spacing_d=d,
             pattern=LossPattern.lossless(), re_beta=re_beta,
@@ -389,27 +304,22 @@ def build_lattice(obj: dict, derived: dict) -> LatticeSpec:
             left, right, iface["n_left_cells"], iface["n_right_cells"], base
         )
     else:
-        pattern = _pattern_from_config(obj["pattern"], hop, derived, "lattice.pattern")
+        pattern = _loss_pattern(lat["pattern"], hop, derived, "lattice.pattern")
         spec = LatticeSpec(
-            n_sites=obj["n_sites"], hopping_J=hop, spacing_d=d,
+            n_sites=lat["n_sites"], hopping_J=hop, spacing_d=d,
             pattern=pattern, re_beta=re_beta,
         )
     derived["lattice.n_sites"] = spec.n_sites
     return spec
 
 
-def build_excitation(obj: dict, spec: LatticeSpec) -> Excitation:
-    amp = complex(*obj["amplitude"]) if "amplitude" in obj else 1.0 + 0.0j
-    return Excitation.resolve(obj["kind"], spec, site=obj.get("site"), amplitude=amp)
-
-
 # ---------------------------------------------------------------------------
-# runners
+# runners: (checked config, output directory, derived) -> (summary, outputs)
 
 
-def _run_spectrum(cfg, out_dir: Path, derived: dict):
-    spec = build_lattice(cfg["lattice"], derived)
-    params = cfg.get("params", {})
+def _run_spectrum(c, out_dir: Path, derived: dict):
+    spec = build_lattice(c["lattice"], derived)
+    params = c["params"]
     result = spectral.eig_full(real_space_hamiltonian(spec))
     order = np.argsort(result.eigenvalues.real, kind="stable")
     rows = [
@@ -420,13 +330,11 @@ def _run_spectrum(cfg, out_dir: Path, derived: dict):
     outputs = [serialization.write_csv(
         out_dir / "spectrum.csv", ["index", "ReE", "ImE", "condition_number"], rows
     )]
-    if params.get("include_vectors", False):
+    if params["include_vectors"]:
         outputs.append(serialization.matrix_to_csv(
             out_dir / "vectors.csv", result.right_vectors[:, order]
         ))
-    report = spectral.find_zero_modes(
-        result, spec, tol=params.get("zero_mode_tol", spectral.ZERO_MODE_TOL)
-    )
+    report = spectral.find_zero_modes(result, spec, tol=params["zero_mode_tol"])
     re_rel = (result.eigenvalues.real - spec.re_beta) / spec.hopping_J
     summary = {
         "n_zero_modes": len(report),
@@ -437,22 +345,21 @@ def _run_spectrum(cfg, out_dir: Path, derived: dict):
     return summary, outputs
 
 
-def _propagate_from_config(cfg, derived):
-    spec = build_lattice(cfg["lattice"], derived)
-    exc = build_excitation(cfg["excitation"], spec)
-    params = cfg.get("params", {})
+def _propagate_from_config(c, derived):
+    spec = build_lattice(c["lattice"], derived)
+    e, params = c["excitation"], c["params"]
+    exc = Excitation.resolve(
+        e["kind"], spec, site=e["site"], amplitude=complex(*e["amplitude"])
+    )
     field = propagation.propagate(
-        spec, exc,
-        z_max=params.get("z_max", propagation.DEFAULT_Z_MAX),
-        dz=params.get("dz", propagation.DEFAULT_DZ),
-        method=params.get("method", "expm"),
+        spec, exc, z_max=params["z_max"], dz=params["dz"], method=params["method"]
     )
     return spec, exc, field
 
 
-def _write_field(field, out_dir: Path, save_amplitudes: bool, save_every: int = 1):
+def _write_field(field, out_dir: Path, save_amplitudes: bool, save_every: int):
     intens = field.intensities()
-    keep = range(0, field.z_grid.size, max(1, save_every))
+    keep = range(0, field.z_grid.size, save_every)
     header = ["z"] + [f"site{j + 1}" for j in range(field.spec.n_sites)]
     rows = [[field.z_grid[i]] + list(intens[i]) for i in keep]
     outputs = [serialization.write_csv(out_dir / "intensity.csv", header, rows)]
@@ -482,13 +389,11 @@ def _write_field(field, out_dir: Path, save_amplitudes: bool, save_every: int = 
     return outputs
 
 
-def _run_propagate(cfg, out_dir: Path, derived: dict):
-    _, exc, field = _propagate_from_config(cfg, derived)
-    params = cfg.get("params", {})
+def _run_propagate(c, out_dir: Path, derived: dict):
+    _, exc, field = _propagate_from_config(c, derived)
+    params = c["params"]
     outputs = _write_field(
-        field, out_dir,
-        params.get("save_amplitudes", False),
-        params.get("save_every", 1),
+        field, out_dir, params["save_amplitudes"], params["save_every"]
     )
     intens = field.intensities()
     summary = {
@@ -499,17 +404,17 @@ def _run_propagate(cfg, out_dir: Path, derived: dict):
     return summary, outputs
 
 
-def _run_momentum(cfg, out_dir: Path, derived: dict):
-    spec, _, field = _propagate_from_config(cfg, derived)
-    params = cfg.get("params", {})
+def _run_momentum(c, out_dir: Path, derived: dict):
+    spec, _, field = _propagate_from_config(c, derived)
+    params = c["params"]
     ms = analysis.momentum_spectrum(
-        field,
-        window=params.get("window", analysis.WINDOW_HANN),
-        pad_factor=params.get("pad_factor", 4),
+        field, window=params["window"], pad_factor=params["pad_factor"]
     )
     # export only the band region around re_beta; the padded grid is huge
-    kz_window = params.get("kz_window", [spec.re_beta - 0.6, spec.re_beta + 0.6])
+    kz_window = params["kz_window"] or [spec.re_beta - 0.6, spec.re_beta + 0.6]
     rows_mask = (ms.kz_grid >= kz_window[0]) & (ms.kz_grid <= kz_window[1])
+    if not rows_mask.any():
+        raise ConfigError("config.params.kz_window", "holds no kz sample of the transform")
     kz = ms.kz_grid[rows_mask]
     power = ms.power[rows_mask]
     header = ["kz\\kx"] + [serialization.fmt(v) for v in ms.kx_grid]
@@ -530,26 +435,18 @@ def _run_momentum(cfg, out_dir: Path, derived: dict):
     return summary, outputs
 
 
-def _run_winding(cfg, out_dir: Path, derived: dict):
-    params = cfg.get("params", {})
-    lat = cfg["lattice"]
-    hop = lat["hopping_J"]
-    if hop == "auto":
-        hop = float(calibration.default_hopping_curve().predict(lat["spacing_d"]))
-        derived["lattice.hopping_J_from_spacing"] = hop
-    k_grid = params.get("k_grid_size", 128)
-    if "g2_values" in params:
+def _run_winding(c, out_dir: Path, derived: dict):
+    lat, params = c["lattice"], c["params"]
+    hop = _hopping(lat, derived)
+    k_grid = params["k_grid_size"]
+    if params["g2_values"] is not None:
         rows = topology.winding_phase_diagram(
             params["g2_values"], hop, lat["spacing_d"],
-            k_grid_size=k_grid, exclusion=params.get("exclusion", 0.05),
+            k_grid_size=k_grid, exclusion=params["exclusion"],
         )
         summary = {"n_points": len(rows)}
     else:
-        if "pattern" not in lat:
-            raise ConfigError(
-                "config.lattice.pattern", "required unless params.g2_values is given"
-            )
-        pattern = _pattern_from_config(lat["pattern"], hop, derived, "lattice.pattern")
+        pattern = _loss_pattern(lat["pattern"], hop, derived, "lattice.pattern")
         res = topology.winding_number(pattern, hop, lat["spacing_d"], k_grid_size=k_grid)
         rows = [(pattern.g2, res.W, res.quantization_residual)]
         summary = {"W": res.W, "residual": res.quantization_residual}
@@ -559,25 +456,14 @@ def _run_winding(cfg, out_dir: Path, derived: dict):
     return summary, outputs
 
 
-def _run_symmetry(cfg, out_dir: Path, derived: dict):
-    params = cfg.get("params", {})
-    cases = params.get("cases", ["nontrivial", "trivial"])
-    n_k = params.get("k_samples", 32)
-    ks = np.linspace(0.0, np.pi / 2.0, n_k)
+def _run_symmetry(c, out_dir: Path, derived: dict):
+    params = c["params"]
+    ks = np.linspace(0.0, np.pi / 2.0, params["k_samples"])
     report_obj = {}
     summary = {}
-    for case in cases:
-        rep = symmetry_mod.check_symmetries(ks, case=case, g=params.get("g", 1.0))
-        report_obj[case] = {
-            "residual_T": rep.residual_T,
-            "residual_C": rep.residual_C,
-            "residual_S": rep.residual_S,
-            "holds_T": rep.holds_T,
-            "holds_C": rep.holds_C,
-            "holds_S": rep.holds_S,
-            "class_label": rep.class_label,
-            "k_samples": list(rep.k_samples),
-        }
+    for case in params["cases"]:
+        rep = symmetry_mod.check_symmetries(ks, case=case, g=params["g"])
+        report_obj[case] = asdict(rep)
         summary[f"class_{case}"] = rep.class_label
         summary[f"max_residual_{case}"] = max(
             rep.residual_T, rep.residual_C, rep.residual_S
@@ -586,15 +472,10 @@ def _run_symmetry(cfg, out_dir: Path, derived: dict):
     return summary, outputs
 
 
-def _run_ep_sweep(cfg, out_dir: Path, derived: dict):
-    spec = build_lattice(cfg["lattice"], derived)
-    params = cfg.get("params", {})
-    j_min = params.get("j_min", 0.04)
-    j_max = params.get("j_max", 0.12)
-    j_step = params.get("j_step", 0.001)
-    n = int(round((j_max - j_min) / j_step)) + 1
-    j_values = [j_min + i * j_step for i in range(n)]
-    res = spectral.ep_sweep(spec, j_values)
+def _run_ep_sweep(c, out_dir: Path, derived: dict):
+    spec = build_lattice(c["lattice"], derived)
+    params = c["params"]
+    res = spectral.ep_sweep(spec, _scan(params["j_min"], params["j_max"], params["j_step"]))
     rows = [
         (res.J_values[i],
          res.pair_eigenvalues[i, 0].real, res.pair_eigenvalues[i, 0].imag,
@@ -610,32 +491,21 @@ def _run_ep_sweep(cfg, out_dir: Path, derived: dict):
     derived["J_ep_estimate"] = res.J_ep_estimate
     summary = {
         "J_ep": res.J_ep_estimate,
+        "J_ep_at_scan_edge": res.J_ep_at_scan_edge,
         "min_separation": float(res.edge_pair_separation.min()),
         "coalescence_condition": res.coalescence_condition,
     }
     return summary, outputs
 
 
-def _run_interface_compare(cfg, out_dir: Path, derived: dict):
-    lat = cfg["lattice"]
-    params = cfg.get("params", {})
-    if "pattern" in lat or "interface" in lat:
-        raise ConfigError(
-            "config.lattice", "interface-compare builds its own lattices; give only J and d"
-        )
-    hop = lat["hopping_J"]
-    if hop == "auto":
-        hop = float(calibration.default_hopping_curve().predict(lat["spacing_d"]))
-        derived["lattice.hopping_J_from_spacing"] = hop
-    g_lo = params.get("g2_min", 0.2)
-    g_hi = params.get("g2_max", 3.0)
-    g_step = params.get("g2_step", 0.1)
-    n = int(round((g_hi - g_lo) / g_step)) + 1
-    g_values = [g_lo + i * g_step for i in range(n)]
+def _run_interface_compare(c, out_dir: Path, derived: dict):
+    lat, params = c["lattice"], c["params"]
+    hop = _hopping(lat, derived)
+    g_values = _scan(params["g2_min"], params["g2_max"], params["g2_step"])
     rows = analysis.interface_vs_defect(
         g_values, hop, spacing_d=lat["spacing_d"],
-        n_cells_per_side=params.get("n_cells_per_side", 5),
-        n_sites_defect=params.get("n_sites_defect", 40),
+        n_cells_per_side=params["n_cells_per_side"],
+        n_sites_defect=params["n_sites_defect"],
     )
     outputs = [serialization.write_csv(
         out_dir / "interface_compare.csv",
@@ -645,81 +515,54 @@ def _run_interface_compare(cfg, out_dir: Path, derived: dict):
     return {"n_points": len(rows)}, outputs
 
 
-def _run_fit(cfg, out_dir: Path, derived: dict):
-    _, exc, field = _propagate_from_config(cfg, derived)
-    params = cfg.get("params", {})
-    site = params.get("site", "excited")
-    site = exc.site if site == "excited" else int(site)
+def _run_fit(c, out_dir: Path, derived: dict):
+    _, exc, field = _propagate_from_config(c, derived)
+    params = c["params"]
+    site = exc.site if params["site"] == "excited" else params["site"]
     z, trace = field.site_trace(site)
     outputs = [serialization.write_csv(
         out_dir / "trace.csv", ["z", "intensity"], zip(z, trace)
     )]
-    kind = params.get("fit", "decay")
-    if kind == "decay":
-        ranges = params.get("fit_ranges")
-        if ranges is not None:
-            ranges = [tuple(r) for r in ranges]
-        fit = analysis.fit_decay(z, trace, fit_ranges=ranges)
+    if params["fit"] == "decay":
+        fit = analysis.fit_decay(z, trace, fit_ranges=params["fit_ranges"])
         record = {
             "fit": "decay", "site": site, "ell": fit.ell, "ell_error": fit.ell_error,
             "a0": fit.a0, "fit_ranges": [list(r) for r in fit.fit_ranges],
             "r_squared": list(fit.r_squared),
         }
         summary = {"ell": fit.ell, "ell_error": fit.ell_error}
-    elif kind == "oscillation":
-        rng = params.get("fit_range")
-        fit = analysis.fit_oscillation(z, trace, fit_range=tuple(rng) if rng else None)
+    else:
+        fit = analysis.fit_oscillation(z, trace, fit_range=params["fit_range"])
         record = {
             "fit": "oscillation", "site": site, "kz_osc": fit.kz_osc, "phi": fit.phi,
             "ell": fit.ell, "a0": fit.a0, "a1": fit.a1,
             "covariance": fit.covariance,
         }
         summary = {"kz_osc": fit.kz_osc, "ell": fit.ell, "a0": fit.a0, "a1": fit.a1}
-    else:
-        raise ConfigError("config.params.fit", f"unknown fit kind {kind!r}")
     outputs.append(serialization.write_json(out_dir / "fit.json", record))
     return summary, outputs
 
 
-def _run_calibrate(cfg, out_dir: Path, derived: dict):
-    params = cfg.get("params", {})
-    kind = params.get("kind", "generic")
-    points = params.get("points", "builtin")
-    if "points_file" in params:
-        pts, provenance = calibration.load_points(params["points_file"])
-        curve = calibration.fit_curve(
-            pts,
-            params.get("model", calibration.MODEL_TABLE),
-            kind=kind,
-            fixed_x0=params.get("fixed_x0"),
-            provenance=provenance,
-        )
-    elif points == "builtin":
-        if kind == calibration.KIND_IMBETA_VS_W:
-            curve = calibration.default_imbeta_curve()
-        elif kind == calibration.KIND_J_VS_D:
-            curve = calibration.default_hopping_curve()
-        else:
-            raise ConfigError(
-                "config.params.kind",
-                "builtin points exist for 'imbeta_vs_w' and 'J_vs_d' only",
-            )
+_BUILTIN_CURVES = {
+    calibration.KIND_IMBETA_VS_W: calibration.default_imbeta_curve,
+    calibration.KIND_J_VS_D: calibration.default_hopping_curve,
+}
+
+
+def _run_calibrate(c, out_dir: Path, derived: dict):
+    params = c["params"]
+    points, provenance = params["points"], None
+    if params["points_file"] is not None:
+        points, provenance = calibration.load_points(params["points_file"])
+    if points == "builtin":
+        curve = _BUILTIN_CURVES[params["kind"]]()
     else:
         curve = calibration.fit_curve(
-            [tuple(p) for p in points],
-            params.get("model", calibration.MODEL_TABLE),
-            kind=kind,
-            fixed_x0=params.get("fixed_x0"),
+            points, params["model"], kind=params["kind"],
+            fixed_x0=params["fixed_x0"], provenance=provenance,
         )
-    record = {
-        "kind": curve.kind,
-        "model": curve.model,
-        "params": curve.params,
-        "anchor_points": [list(a) for a in curve.anchor_points],
-        "validity": list(curve.validity),
-        "max_anchor_error": curve.max_anchor_error(),
-    }
-    if "predict_at" in params:
+    record = {**asdict(curve), "max_anchor_error": curve.max_anchor_error()}
+    if params["predict_at"] is not None:
         record["predictions"] = [
             [float(x), float(curve.predict(float(x)))] for x in params["predict_at"]
         ]
@@ -728,31 +571,192 @@ def _run_calibrate(cfg, out_dir: Path, derived: dict):
     return summary, outputs
 
 
-_RUNNERS = {
-    "spectrum": _run_spectrum,
-    "propagate": _run_propagate,
-    "momentum": _run_momentum,
-    "winding": _run_winding,
-    "symmetry": _run_symmetry,
-    "ep-sweep": _run_ep_sweep,
-    "interface-compare": _run_interface_compare,
-    "fit": _run_fit,
-    "calibrate": _run_calibrate,
+# ---------------------------------------------------------------------------
+# cross-field checks on a checked config, run by validate_config
+
+
+def _check_momentum(c, path: str):
+    params = c["params"]
+    # propagate keeps round(z_max / dz) + 1 samples
+    if params["z_max"] / params["dz"] <= 62.5:
+        raise ConfigError(f"{path}.params", "momentum spectra need at least 64 z samples")
+
+
+def _check_winding(c, path: str):
+    if c["params"]["g2_values"] is None and c["lattice"]["pattern"] is None:
+        raise ConfigError(f"{path}.lattice.pattern", "required unless params.g2_values is given")
+
+
+def _check_ep_sweep(c, path: str):
+    params = c["params"]
+    if (params["j_max"] - params["j_min"]) / params["j_step"] <= 0.5:
+        raise ConfigError(f"{path}.params", "the J scan needs at least two values")
+
+
+def _check_calibrate(c, path: str):
+    params = c["params"]
+    builtin = params["points_file"] is None and params["points"] == "builtin"
+    if builtin and params["kind"] not in _BUILTIN_CURVES:
+        raise ConfigError(
+            f"{path}.params.kind",
+            "builtin points exist for " + " and ".join(map(repr, _BUILTIN_CURVES)) + " only",
+        )
+
+
+class Run(NamedTuple):
+    runner: Callable
+    lattice: Optional[str]  # a key of _SHAPES, or None for runs without a lattice
+    excitation: bool
+    params: Dict[str, Tuple[Rule, Any]]
+    check: Optional[Callable] = None
+
+
+# propagation options shared by the runs that propagate a beam
+_FIELD = {
+    "z_max": (POS, propagation.DEFAULT_Z_MAX),
+    "dz": (POS, propagation.DEFAULT_DZ),
+    "method": (_one_of("expm", "rk4"), "expm"),
+}
+
+RUNS = {
+    "spectrum": Run(_run_spectrum, "chain", False, {
+        "zero_mode_tol": (NUM, spectral.ZERO_MODE_TOL),
+        "include_vectors": (BOOL, False),
+    }),
+    "propagate": Run(_run_propagate, "chain", True, {
+        **_FIELD,
+        "save_amplitudes": (BOOL, False),
+        "save_every": (_int(1), 1),
+    }),
+    "momentum": Run(_run_momentum, "chain", True, {
+        **_FIELD,
+        "window": (_one_of(analysis.WINDOW_HANN, analysis.WINDOW_NONE), analysis.WINDOW_HANN),
+        "pad_factor": (_int(1), 4),
+        "kz_window": (RANGE, None),  # None: re_beta -/+ 0.6
+    }, _check_momentum),
+    "winding": Run(_run_winding, "cell", False, {
+        "k_grid_size": (_int(16), 128),
+        "g2_values": (NUMS, None),  # None: W of lattice.pattern
+        "exclusion": (POS, 0.05),
+    }, _check_winding),
+    "symmetry": Run(_run_symmetry, None, False, {
+        "cases": (_list("a list of symmetry cases", _one_of(
+            symmetry_mod.CASE_NONTRIVIAL, symmetry_mod.CASE_TRIVIAL)),
+            (symmetry_mod.CASE_NONTRIVIAL, symmetry_mod.CASE_TRIVIAL)),
+        "k_samples": (_int(1), 32),
+        "g": (NONNEG, 1.0),
+    }),
+    "ep-sweep": Run(_run_ep_sweep, "interface", False, {
+        "j_min": (POS, 0.04),
+        "j_max": (POS, 0.12),
+        "j_step": (POS, 0.001),
+    }, _check_ep_sweep),
+    "interface-compare": Run(_run_interface_compare, "bare", False, {
+        "g2_min": (POS, 0.2),
+        "g2_max": (NUM, 3.0),
+        "g2_step": (POS, 0.1),
+        "n_cells_per_side": (_int(1), 5),
+        "n_sites_defect": (_int(2), 40),
+    }),
+    "fit": Run(_run_fit, "chain", True, {
+        **_FIELD,
+        "fit": (_one_of("decay", "oscillation"), "decay"),
+        "site": (_either(_int(1), _one_of("excited")), "excited"),
+        "fit_ranges": (_list("a list of [lo, hi] pairs with lo < hi", RANGE), None),
+        "fit_range": (RANGE, None),
+    }),
+    "calibrate": Run(_run_calibrate, None, False, {
+        "kind": (STR, "generic"),
+        "model": (_one_of(calibration.MODEL_EXPONENTIAL, calibration.MODEL_LINEAR_ORIGIN,
+                          calibration.MODEL_TABLE), calibration.MODEL_TABLE),
+        "points": (_either(_list("a list of [x, y] pairs", PAIR), _one_of("builtin")),
+                   "builtin"),
+        "points_file": (STR, None),
+        "fixed_x0": (POS, None),
+        "predict_at": (NUMS, None),
+    }, _check_calibrate),
+}
+
+_TOP = {
+    "run": (_one_of(*RUNS), REQUIRED),
+    "output_dir": (STR, REQUIRED),
+    "seed": (_int(), 0),
+    "lattice": (OBJ, None),
+    "excitation": (OBJ, None),
+    "params": (OBJ, {}),
+    "grid": (Rule("a list of one or two entries",
+                  lambda v: isinstance(v, list) and 1 <= len(v) <= 2), None),
+}
+
+_GRID_ENTRY = {
+    "path": (STR, REQUIRED),
+    "values": (Rule("a non-empty list", lambda v: isinstance(v, list) and len(v) > 0), REQUIRED),
 }
 
 
+def validate_config(cfg: dict, path: str = "config") -> dict:
+    """Check a config, and every grid point of it, without touching ``cfg``.
+
+    Returns a checked copy of ``cfg`` with every default filled in, which is
+    what the runners read.
+    """
+    c = _section(cfg, _TOP, path)
+    name = c["run"]
+    run = RUNS[name]
+    for section, needed in (("lattice", run.lattice is not None), ("excitation", run.excitation)):
+        if (c[section] is None) == needed:
+            usage = "required for" if needed else "not used by"
+            raise ConfigError(f"{path}.{section}", f"{usage} run '{name}'")
+    if run.lattice is not None:
+        c["lattice"] = _check_lattice(c["lattice"], f"{path}.lattice", name)
+    if run.excitation:
+        c["excitation"] = _check_excitation(c["excitation"], f"{path}.excitation")
+    c["params"] = _section(c["params"], run.params, f"{path}.params")
+    if run.check is not None:
+        run.check(c, path)
+    if c["grid"] is not None:
+        for i, entry in enumerate(c["grid"]):
+            entry = _section(entry, _GRID_ENTRY, f"{path}.grid[{i}]")
+            _resolve_path(cfg, entry["path"], f"{path}.grid[{i}].path")
+        for _, point_cfg in _grid_points(cfg):
+            validate_config(point_cfg, path)
+    return c
+
+
+def _resolve_path(cfg: dict, dotted: str, err_path: str) -> Tuple[dict, str]:
+    """Walk a dotted path to (parent, leaf); every segment must exist."""
+    parts = dotted.split(".")
+    node = cfg
+    for seg in parts[:-1]:
+        if not isinstance(node, dict) or seg not in node:
+            raise ConfigError(err_path, f"path segment {seg!r} not found in config")
+        node = node[seg]
+    if not isinstance(node, dict) or parts[-1] not in node:
+        raise ConfigError(err_path, f"path leaf {parts[-1]!r} not found in config")
+    return node, parts[-1]
+
+
+def _write_diagnostics(out_dir: Path, exc: Exception) -> None:
+    serialization.write_json(out_dir / "diagnostics.json", {
+        "error_class": type(exc).__name__,
+        "message": str(exc),
+        "diagnostics": getattr(exc, "diagnostics", {}),
+    })
+
+
 def execute_single(cfg: dict, out_dir: Path) -> dict:
-    """Run one validated, grid-free config into ``out_dir``; returns summary."""
+    """Run one grid-free config into ``out_dir``; returns summary."""
+    c = validate_config(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     derived: Dict[str, float] = {}
-    summary, outputs = _RUNNERS[cfg["run"]](cfg, out_dir, derived)
+    summary, outputs = RUNS[c["run"]].runner(c, out_dir, derived)
     manifest = {
         "config_sha256": serialization.config_hash(cfg),
         "package_version": __version__,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
-        "run": cfg["run"],
-        "seed": cfg.get("seed", 0),
+        "run": c["run"],
+        "seed": c["seed"],
         "derived_parameters": derived,
         "summary": summary,
         "outputs": sorted(p.name for p in outputs),
@@ -783,41 +787,31 @@ def _scalar_for_csv(value):
 
 
 def execute_sweep(cfg: dict, out_dir: Path) -> None:
-    """Run every grid point into point_NNN/ and collect results.csv."""
+    """Run every grid point of a validated config into point_NNN/ and
+    collect results.csv; a point that fails is recorded, not fatal."""
     points = _grid_points(cfg)
-    for _, point_cfg in points:
-        validate_config(point_cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     workers = max(1, int(os.environ.get("NHLATTICE_WORKERS", "1")))
 
-    def run_point(idx_cfg):
-        idx, point_cfg = idx_cfg
+    def run_point(idx):
         point_dir = out_dir / f"point_{idx:03d}"
         try:
-            summary = execute_single(point_cfg, point_dir)
-            return idx, summary, ""
-        except NumericalError as exc:
-            serialization.write_json(point_dir / "diagnostics.json", {
-                "error_class": type(exc).__name__,
-                "message": str(exc),
-                "diagnostics": exc.diagnostics,
-            })
-            return idx, {}, type(exc).__name__
+            return execute_single(points[idx][1], point_dir), ""
+        except (ConfigurationError, NumericalError) as exc:
+            _write_diagnostics(point_dir, exc)
+            return {}, type(exc).__name__
 
-    tasks = [(i, point_cfg) for i, (_, point_cfg) in enumerate(points)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_point, tasks))
+            results = list(pool.map(run_point, range(len(points))))
     else:
-        results = [run_point(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
+        results = [run_point(i) for i in range(len(points))]
 
     paths = [entry["path"] for entry in cfg["grid"]]
-    summary_keys = sorted({k for _, s, _ in results for k in s})
+    summary_keys = sorted({k for s, _ in results for k in s})
     header = ["point"] + paths + summary_keys + ["error"]
     rows = []
-    for idx, summary, err in results:
-        combo = points[idx][0]
+    for idx, ((combo, _), (summary, err)) in enumerate(zip(points, results)):
         row = [idx] + [_scalar_for_csv(v) for v in combo]
         row += [summary.get(k, "") for k in summary_keys]
         row.append(err)
@@ -828,7 +822,7 @@ def execute_sweep(cfg: dict, out_dir: Path) -> None:
         "package_version": __version__,
         "n_points": len(points),
         "grid_paths": paths,
-        "failed_points": [idx for idx, _, err in results if err],
+        "failed_points": [idx for idx, (_, err) in enumerate(results) if err],
     })
 
 
@@ -882,12 +876,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        serialization.write_json(out_dir / "diagnostics.json", {
-            "error_class": type(exc).__name__,
-            "message": str(exc),
-            "diagnostics": exc.diagnostics,
-        })
+        _write_diagnostics(out_dir, exc)
         print(f"numerical error: {exc} (diagnostics written)", file=sys.stderr)
         return 3
     return 0

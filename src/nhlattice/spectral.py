@@ -214,13 +214,18 @@ def find_zero_modes(
 
 @dataclass(frozen=True)
 class EPSweepResult:
-    """Two tracked boundary modes across a hopping sweep at fixed loss."""
+    """Two tracked boundary modes across a hopping sweep at fixed loss.
+
+    ``J_ep_at_scan_edge`` is true when the separation minimum is the first
+    or last J of the scan, so no coalescence was located inside it.
+    """
 
     J_values: np.ndarray
     edge_pair_separation: np.ndarray
     J_ep_estimate: float
     coalescence_condition: float
     pair_eigenvalues: np.ndarray  # shape (n_J, 2), 1/um
+    J_ep_at_scan_edge: bool
 
 
 def _scaled_interface(spec: LatticeSpec, im_beta: float, hopping_J: float) -> LatticeSpec:
@@ -252,7 +257,7 @@ def ep_sweep(
     modes with the largest weight on the interface cell and the outer cell of
     the second domain are selected; afterwards they are continued by maximal
     eigenvector overlap. The estimate ``J_ep`` is the separation minimum of
-    the scan.
+    the scan, flagged when it sits at either end of the scan.
     """
     if base.is_uniform or base.interface_index is None:
         raise ConfigurationError("ep_sweep requires an interface lattice")
@@ -312,4 +317,5 @@ def ep_sweep(
         J_ep_estimate=float(J_values[i_min]),
         coalescence_condition=float(conds[i_min].max()),
         pair_eigenvalues=pair_eigs,
+        J_ep_at_scan_edge=i_min in (0, J_values.size - 1),
     )

@@ -1,7 +1,10 @@
+import copy
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nhlattice.cli import main
 
@@ -28,6 +31,93 @@ def spectrum_config(tmp_path, out="out", **overrides):
         },
     }
     cfg.update(overrides)
+    return cfg
+
+
+CHAIN = {
+    "n_sites": 12, "hopping_J": 0.045, "spacing_d": 1.4,
+    "pattern": {"phase": "III", "g": 1.1},
+}
+IFACE = {
+    "hopping_J": 0.045, "spacing_d": 1.4,
+    "interface": {"n_left_cells": 3, "n_right_cells": 3, "im_beta": 0.1},
+}
+
+
+def beam(run, params=None, excitation=None, lattice=CHAIN):
+    return {
+        "run": run, "lattice": lattice,
+        "excitation": excitation or {"kind": "edge"}, "params": params or {},
+    }
+
+
+# Configs that pass the type checks of a plain schema and then failed or
+# misbehaved at run time; each names the JSON path that must be reported.
+CONFIG_ONLY_ERRORS = {
+    "nan_z_max": (beam("propagate", {"z_max": float("nan")}), "config.params.z_max"),
+    "amplitude_strings": (
+        beam("propagate", excitation={"kind": "edge", "amplitude": ["a", "b"]}),
+        "config.excitation.amplitude",
+    ),
+    "custom_cell_strings": (
+        {"run": "spectrum", "lattice": dict(
+            CHAIN, pattern={"phase": "custom", "cell": [["a", 0]] * 4})},
+        "config.lattice.pattern.cell",
+    ),
+    "kz_window_short": (beam("momentum", {"kz_window": [1.0]}), "config.params.kz_window"),
+    "fit_range_short": (
+        beam("fit", {"fit": "oscillation", "fit_range": [1.0]}), "config.params.fit_range"
+    ),
+    "site_word": (beam("fit", {"site": "middle"}), "config.params.site"),
+    "j_step_zero": (
+        {"run": "ep-sweep", "lattice": IFACE, "params": {"j_step": 0}},
+        "config.params.j_step",
+    ),
+    "points_word": (
+        {"run": "calibrate", "params": {"kind": "J_vs_d", "points": "foo"}},
+        "config.params.points",
+    ),
+    "save_every_zero": (beam("propagate", {"save_every": 0}), "config.params.save_every"),
+    "unknown_method": (beam("propagate", {"method": "euler"}), "config.params.method"),
+    "unknown_window": (beam("momentum", {"window": "kaiser"}), "config.params.window"),
+    "unknown_fit": (beam("fit", {"fit": "gauss"}), "config.params.fit"),
+    "unknown_symmetry_case": (
+        {"run": "symmetry", "params": {"cases": ["chiral"]}}, "config.params.cases"
+    ),
+    "builtin_kind": (
+        {"run": "calibrate", "params": {"kind": "generic", "points": "builtin"}},
+        "config.params.kind",
+    ),
+}
+
+
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**20, 10**20),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=8),
+    st.lists(st.floats(allow_nan=True), max_size=3), st.just({}),
+)
+
+
+def mutate(cfg, rnd, leaf, op, size):
+    """Drop one key, swap one entry for ``leaf``, or resize one list."""
+    nodes = []  # (container, key) for every entry of every dict and list
+
+    def walk(node):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            nodes.append((node, key))
+            if isinstance(value, (dict, list)):
+                walk(value)
+
+    walk(cfg)
+    parent, key = rnd.choice(nodes)
+    value = parent[key]
+    if op == "drop" and isinstance(parent, dict):
+        del parent[key]
+    elif op == "resize" and isinstance(value, list):
+        parent[key] = (value * (size + 1))[:size]
+    else:
+        parent[key] = leaf
     return cfg
 
 
@@ -80,6 +170,30 @@ class TestValidation:
         cfg = spectrum_config(tmp_path)
         assert main(["validate", write_config(tmp_path, cfg)]) == 0
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", sorted(CONFIG_ONLY_ERRORS))
+    def test_config_only_errors_stop_validate_and_run(self, tmp_path, capsys, case):
+        cfg, json_path = copy.deepcopy(CONFIG_ONLY_ERRORS[case])
+        cfg["output_dir"] = str(tmp_path / "out")
+        path = write_config(tmp_path, cfg)
+        for command in ("validate", "run"):
+            assert main([command, path]) == 2
+            assert f"error: {json_path}:" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    @settings(deadline=None, max_examples=150,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.sampled_from(FIGS), st.randoms(use_true_random=False), JSON_LEAVES,
+        st.sampled_from(["drop", "swap", "resize"]), st.integers(0, 3),
+    )
+    def test_mutated_bundled_configs_validate_or_exit_2(
+        self, tmp_path, fig, rnd, leaf, op, size
+    ):
+        cfg = mutate(json.loads(fig.read_text()), rnd, leaf, op, size)
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", str(path)]) in (0, 2)
 
 
 class TestRun:
@@ -182,6 +296,26 @@ class TestSweep:
         assert rows[2].endswith("GaplessSpectrumError")
         manifest = json.loads((tmp_path / "out" / "sweep_manifest.json").read_text())
         assert manifest["failed_points"] == [1]
+
+    def test_point_configuration_error_recorded_not_fatal(self, tmp_path):
+        # site 10 exists on the 12-site chain but not on the 8-site one
+        cfg = {
+            "run": "propagate",
+            "output_dir": str(tmp_path / "out"),
+            "lattice": dict(CHAIN, n_sites=12),
+            "excitation": {"kind": "site_index", "site": 10},
+            "params": {"z_max": 1.0},
+            "grid": [{"path": "lattice.n_sites", "values": [12, 8]}],
+        }
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
+        out = tmp_path / "out"
+        rows = (out / "results.csv").read_text().splitlines()
+        assert rows[1].endswith(",")
+        assert rows[2].endswith(",ConfigurationError")
+        manifest = json.loads((out / "sweep_manifest.json").read_text())
+        assert manifest["failed_points"] == [1]
+        diag = json.loads((out / "point_001" / "diagnostics.json").read_text())
+        assert "outside lattice" in diag["message"]
 
     def test_worker_pool_output_identical(self, tmp_path, monkeypatch):
         cfg = spectrum_config(tmp_path, out="serial")

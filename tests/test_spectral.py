@@ -224,6 +224,13 @@ class TestEPSweep:
         assert res.edge_pair_separation.min() == res.edge_pair_separation[
             list(res.J_values).index(res.J_ep_estimate)
         ]
+        assert not res.J_ep_at_scan_edge
+
+    def test_flags_minimum_at_scan_end(self):
+        # the scan stops below the coalescence, so its last J is the minimum
+        res = ep_sweep(ii_iii_interface(1.1111111111111112), np.arange(0.04, 0.08001, 0.004))
+        assert res.J_ep_estimate == res.J_values[-1]
+        assert res.J_ep_at_scan_edge
 
     def test_ordering_flip_across_ep(self):
         res = ep_sweep(ii_iii_interface(1.1111111111111112), np.arange(0.04, 0.12001, 0.002))
