@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import curve_fit
+from scipy.optimize import least_squares
 
 from .errors import ConfigurationError, FitError, PhaseRequiredError
 from .lattice import (
@@ -179,7 +179,12 @@ def fit_decay(
 
 @dataclass(frozen=True)
 class OscillationFit:
-    """Parameters of I(z) = a1*cos(kz*z + phi)*exp(-z/ell) + a0."""
+    """Parameters of I(z) = a1*cos(kz*z + phi)*exp(-z/ell) + a0.
+
+    ``covariance`` is over (a1, kz_osc, phi, ell, a0), ``rss`` the residual
+    sum of squares over the fitted samples. ``kz_osc_at_zero`` marks a fit
+    that ended at the kz >= 0 bound, where a1 and phi are not identifiable.
+    """
 
     kz_osc: float
     phi: float
@@ -187,24 +192,56 @@ class OscillationFit:
     a0: float
     a1: float
     covariance: np.ndarray
+    rss: float
+    kz_osc_at_zero: bool
 
 
-def _oscillation_model(z, a1, kz, phi, ell, a0):
-    return a1 * np.cos(kz * z + phi) * np.exp(-z / ell) + a0
+#: Below this phase advance (rad) over the fit range a cosine is a straight line.
+ZERO_FREQUENCY_PHASE = 1e-4
+
+
+def _damped_columns(x: np.ndarray, kz: float, rate: float) -> np.ndarray:
+    """Columns cos(kz*z)e^(-rate*z), sin(kz*z)e^(-rate*z) and 1 of the model."""
+    decay = np.exp(-rate * x)
+    return np.column_stack([np.cos(kz * x) * decay, np.sin(kz * x) * decay, np.ones_like(x)])
+
+
+def _linear_part(cols: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares (c, s, a0) for fixed columns, with a0 held at 0 if negative."""
+    coef = np.linalg.lstsq(cols, y, rcond=None)[0]
+    if coef[2] < 0:
+        coef = np.append(np.linalg.lstsq(cols[:, :2], y, rcond=None)[0], 0.0)
+    return coef
 
 
 def fit_oscillation(
     z: np.ndarray,
     intensity: np.ndarray,
     fit_range: Optional[Tuple[float, float]] = None,
-    max_nfev: int = 20000,
 ) -> OscillationFit:
-    """Nonlinear fit of the damped-oscillation model to a site trace.
+    """Fit I(z) = a1*cos(kz*z + phi)*exp(-z/ell) + a0 to a site trace.
 
-    Initial guesses come from a decay fit (amplitude and ell) and from the
-    dominant Fourier peak of the decay-detrended trace; a zero-frequency
-    start is tried as well and the lower-residual solution wins, so pure
-    exponentials come out with kz_osc at 0 instead of a spurious frequency.
+    The fit is by variable projection (Golub and Pereyra, Inverse Problems
+    19, R1, 2003). For fixed (kz, ell) the model is linear in
+    (c, s, a0) = (a1*cos(phi), -a1*sin(phi), a0): a linear least-squares
+    solve on the columns cos(kz*z)e^(-z/ell), sin(kz*z)e^(-z/ell) and 1 gives
+    them, with the constant column dropped (a0 = 0) when a0 comes out
+    negative. A bounded trust-region search then runs over the two rates
+    kz >= 0 and 1/ell in [0, 1e6] alone, from two starts: kz = 0 and the
+    dominant Fourier peak of the decay-detrended trace, both with ell from a
+    decay fit. The lower residual wins, so a pure exponential comes out with
+    kz_osc at 0 instead of a spurious frequency. Traces with more than 1500
+    samples in ``fit_range`` (default 4 um to min(80 um, z_max)) are
+    decimated. ``covariance`` is curve_fit's estimate, pinv(J^T J) * rss /
+    (m - 5), from the analytic 5-parameter Jacobian J at the solution.
+
+    A quasi-stationary trace, where one mode carries the launch, is fitted
+    best in the limit kz -> 0+: the sine column tends to kz*z*e^(-z/ell), so
+    the model gains a z*e^(-z/ell) term while a1 grows as 1/kz. The search
+    then ends at some tiny kz with a large, arbitrary a1 and phi (only
+    a1*cos(phi) and a1*kz*sin(phi) are determined). ``kz_osc_at_zero`` marks
+    this: the fitted cosine turns by less than ``ZERO_FREQUENCY_PHASE`` rad
+    over the fit range.
     """
     z = np.asarray(z, dtype=float)
     intensity = np.asarray(intensity, dtype=float)
@@ -224,45 +261,61 @@ def fit_oscillation(
 
     try:
         decay = fit_decay(z, np.maximum(intensity, 1e-300), fit_ranges=[(lo, hi)])
-        ell0, amp0 = decay.ell, decay.a0
-        resid = y - amp0 * np.exp(-x / ell0)
+        ell0 = decay.ell
+        resid = y - decay.a0 * np.exp(-x / ell0)
     except FitError:
         # undamped oscillation: no exponential trend to subtract
-        ell0, amp0 = 10.0 * (hi - lo), float(y.max())
+        ell0 = 10.0 * (hi - lo)
         resid = y - y.mean()
     freqs = 2.0 * np.pi * np.fft.rfftfreq(x.size, d=x[1] - x[0])
     spectrum = np.abs(np.fft.rfft(resid - resid.mean()))
     k_fft = float(freqs[1 + int(np.argmax(spectrum[1:]))]) if x.size > 2 else 0.0
 
-    guesses = [
-        (amp0, 0.0, 0.0, ell0, float(max(y.min(), 0.0))),
-        (amp0, k_fft, 0.0, ell0, float(max(y.min(), 0.0))),
-    ]
-    bounds = (
-        [0.0, 0.0, -2.0 * np.pi, 1e-6, 0.0],
-        [np.inf, np.inf, 2.0 * np.pi, np.inf, np.inf],
-    )
+    def residual(p):
+        cols = _damped_columns(x, *p)
+        return cols @ _linear_part(cols, y) - y
+
     best = None
     last_resid = None
-    for p0 in guesses:
-        try:
-            popt, pcov = curve_fit(
-                _oscillation_model, x, y, p0=p0, bounds=bounds, max_nfev=max_nfev
-            )
-        except RuntimeError:
+    for kz0 in (0.0, k_fft):
+        # search (kz, 1/ell): both are rates in 1/um, and an undamped trace
+        # ends at the 1/ell >= 0 bound instead of running off to ell = inf.
+        # No gradient test: its tolerance is absolute, so a faint oscillation
+        # would end the search early.
+        res = least_squares(
+            residual, (kz0, 1.0 / ell0), bounds=([0.0, 0.0], [np.inf, 1e6]),
+            ftol=1e-12, xtol=1e-12, gtol=None,
+        )
+        if not res.success:
             continue
-        rss = float(((y - _oscillation_model(x, *popt)) ** 2).sum())
+        rss = float(res.fun @ res.fun)
         last_resid = rss
         if best is None or rss < best[0]:
-            best = (rss, popt, pcov)
+            best = (rss, res.x)
     if best is None:
         raise FitError("oscillation fit did not converge", {"residual": last_resid})
-    _, popt, pcov = best
-    a1, kz_osc, phi, ell, a0 = popt
+    rss, (kz_osc, rate) = best
+    ell = 1.0 / rate
+    c, s, a0 = _linear_part(_damped_columns(x, kz_osc, rate), y)
+    a1, phi = np.hypot(c, s), np.arctan2(-s, c)
     phi = float((phi + np.pi) % (2.0 * np.pi) - np.pi)
+
+    # curve_fit's covariance: SVD pseudo-inverse of J^T J, scaled by rss/(m - 5)
+    theta, damping = kz_osc * x + phi, np.exp(-rate * x)
+    jac = np.column_stack([
+        np.cos(theta) * damping,
+        -a1 * x * np.sin(theta) * damping,
+        -a1 * np.sin(theta) * damping,
+        a1 * np.cos(theta) * damping * x / ell**2,
+        np.ones_like(x),
+    ])
+    _, sv, vt = np.linalg.svd(jac, full_matrices=False)
+    keep = sv > np.finfo(float).eps * max(jac.shape) * sv[0]
+    covariance = (vt[keep].T / sv[keep] ** 2) @ vt[keep] * (rss / (x.size - 5))
     return OscillationFit(
         kz_osc=float(kz_osc), phi=phi, ell=float(ell), a0=float(a0), a1=float(a1),
-        covariance=pcov,
+        covariance=covariance, rss=rss,
+        kz_osc_at_zero=bool(kz_osc * (x[-1] - x[0]) < ZERO_FREQUENCY_PHASE),
     )
 
 

@@ -536,7 +536,8 @@ def _run_fit(c, out_dir: Path, derived: dict):
         record = {
             "fit": "oscillation", "site": site, "kz_osc": fit.kz_osc, "phi": fit.phi,
             "ell": fit.ell, "a0": fit.a0, "a1": fit.a1,
-            "covariance": fit.covariance,
+            "covariance": fit.covariance, "rss": fit.rss,
+            "kz_osc_at_zero": fit.kz_osc_at_zero,
         }
         summary = {"kz_osc": fit.kz_osc, "ell": fit.ell, "a0": fit.a0, "a1": fit.a1}
     outputs.append(serialization.write_json(out_dir / "fit.json", record))
@@ -574,12 +575,41 @@ def _run_calibrate(c, out_dir: Path, derived: dict):
 # ---------------------------------------------------------------------------
 # cross-field checks on a checked config, run by validate_config
 
+#: Work and memory budgets: complex amplitudes a propagation stores
+#: ((z_max/dz + 1) * n_sites), complex entries of the padded momentum
+#: transform (pad_factor^2 * n_z * n_sites), and points of a J or g2 scan.
+MAX_AMPLITUDES = 20_000_000
+MAX_TRANSFORM = 50_000_000
+MAX_SCAN = 10_000
+
+
+def _over_budget(path: str, what: str, budget: int, *factors):
+    count = 1.0
+    for f in factors:
+        count *= min(f, budget + 1)  # a huge JSON integer would overflow a float
+    if count > budget:
+        raise ConfigError(path, f"{what} exceed the budget of {budget:.3g}")
+
+
+def _check_field(c, path: str):
+    lat, params = c["lattice"], c["params"]
+    iface = lat["interface"]
+    n_sites = lat["n_sites"] if iface is None else 4 * (
+        iface["n_left_cells"] + iface["n_right_cells"])
+    # propagate keeps round(z_max / dz) + 1 samples
+    n_z = params["z_max"] / params["dz"] + 1.0
+    _over_budget(f"{path}.params", "stored amplitudes (z_max/dz + 1) * n_sites",
+                 MAX_AMPLITUDES, n_z, n_sites)
+    return n_z, n_sites
+
 
 def _check_momentum(c, path: str):
-    params = c["params"]
-    # propagate keeps round(z_max / dz) + 1 samples
-    if params["z_max"] / params["dz"] <= 62.5:
+    n_z, n_sites = _check_field(c, path)
+    if n_z <= 63.5:
         raise ConfigError(f"{path}.params", "momentum spectra need at least 64 z samples")
+    pad = c["params"]["pad_factor"]
+    _over_budget(f"{path}.params.pad_factor", "padded transform entries pad^2 * n_z * n_sites",
+                 MAX_TRANSFORM, pad, pad, n_z, n_sites)
 
 
 def _check_winding(c, path: str):
@@ -587,10 +617,21 @@ def _check_winding(c, path: str):
         raise ConfigError(f"{path}.lattice.pattern", "required unless params.g2_values is given")
 
 
-def _check_ep_sweep(c, path: str):
+def _check_scan(c, path: str, name: str) -> float:
+    """(max - min) / step of params <name>_*; _scan gives round(that) + 1 values."""
     params = c["params"]
-    if (params["j_max"] - params["j_min"]) / params["j_step"] <= 0.5:
+    ratio = (params[f"{name}_max"] - params[f"{name}_min"]) / params[f"{name}_step"]
+    _over_budget(f"{path}.params.{name}_step", f"{name} scan points", MAX_SCAN, ratio + 1.0)
+    return ratio
+
+
+def _check_ep_sweep(c, path: str):
+    if _check_scan(c, path, "j") <= 0.5:
         raise ConfigError(f"{path}.params", "the J scan needs at least two values")
+
+
+def _check_interface_compare(c, path: str):
+    _check_scan(c, path, "g2")
 
 
 def _check_calibrate(c, path: str):
@@ -627,7 +668,7 @@ RUNS = {
         **_FIELD,
         "save_amplitudes": (BOOL, False),
         "save_every": (_int(1), 1),
-    }),
+    }, _check_field),
     "momentum": Run(_run_momentum, "chain", True, {
         **_FIELD,
         "window": (_one_of(analysis.WINDOW_HANN, analysis.WINDOW_NONE), analysis.WINDOW_HANN),
@@ -657,14 +698,14 @@ RUNS = {
         "g2_step": (POS, 0.1),
         "n_cells_per_side": (_int(1), 5),
         "n_sites_defect": (_int(2), 40),
-    }),
+    }, _check_interface_compare),
     "fit": Run(_run_fit, "chain", True, {
         **_FIELD,
         "fit": (_one_of("decay", "oscillation"), "decay"),
         "site": (_either(_int(1), _one_of("excited")), "excited"),
         "fit_ranges": (_list("a list of [lo, hi] pairs with lo < hi", RANGE), None),
         "fit_range": (RANGE, None),
-    }),
+    }, _check_field),
     "calibrate": Run(_run_calibrate, None, False, {
         "kind": (STR, "generic"),
         "model": (_one_of(calibration.MODEL_EXPONENTIAL, calibration.MODEL_LINEAR_ORIGIN,

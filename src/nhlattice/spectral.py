@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence, Tuple, Union
 
@@ -18,8 +19,6 @@ from .lattice import (
     SITES_PER_CELL,
     ComplexMatrix,
     LatticeSpec,
-    LossPattern,
-    interface_lattice,
     real_space_hamiltonian,
 )
 
@@ -228,20 +227,27 @@ class EPSweepResult:
     J_ep_at_scan_edge: bool
 
 
-def _scaled_interface(spec: LatticeSpec, im_beta: float, hopping_J: float) -> LatticeSpec:
-    """Rebuild a two-domain II/III lattice with fixed Im beta and new J."""
-    g = im_beta / (2.0 * hopping_J)
-    (left, n_left), (right, n_right) = spec.pattern
-    new_left = LossPattern.trivial(g) if left.g2 < 0 else LossPattern.topological(g)
-    new_right = LossPattern.trivial(g) if right.g2 < 0 else LossPattern.topological(g)
-    base = LatticeSpec(
-        n_sites=spec.n_sites,
-        hopping_J=hopping_J,
-        spacing_d=spec.spacing_d,
-        pattern=new_left,
-        re_beta=spec.re_beta,
-    )
-    return interface_lattice(new_left, new_right, n_left, n_right, base)
+def _scaled_interface(spec: LatticeSpec, hopping_J: float) -> LatticeSpec:
+    """``spec`` at a new hopping J with every site's beta held fixed.
+
+    Each on-site amplitude g (units of J) of each domain, custom cells
+    included, becomes sign(g) * (2|g| J_base) / (2J); for a symmetric domain
+    that is g = Im(beta) / (2J), as the calibration defines it.
+    """
+
+    def scale(g: float) -> float:
+        return math.copysign(2.0 * abs(g) * spec.hopping_J / (2.0 * hopping_J), g)
+
+    domains = []
+    for pattern, n_cells in spec.pattern:
+        cell = pattern.custom_cell
+        if cell is not None:
+            cell = tuple(complex(scale(c.real), scale(c.imag)) for c in cell)
+        domains.append((replace(
+            pattern, g0=scale(pattern.g0), g1=scale(pattern.g1), g2=scale(pattern.g2),
+            custom_cell=cell,
+        ), n_cells))
+    return replace(spec, hopping_J=hopping_J, pattern=tuple(domains))
 
 
 def ep_sweep(
@@ -252,8 +258,8 @@ def ep_sweep(
     """Sweep the hopping at fixed physical loss and follow the two boundary
     modes through their coalescence.
 
-    The on-site absorption Im beta = 2*g*J of ``base`` is held constant, so
-    the dimensionless loss shrinks as J grows. At the smallest J the two
+    Every site's beta of ``base`` is held constant, so the dimensionless
+    loss of each domain shrinks as J grows. At the smallest J the two
     modes with the largest weight on the interface cell and the outer cell of
     the second domain are selected; afterwards they are continued by maximal
     eigenvector overlap. The estimate ``J_ep`` is the separation minimum of
@@ -264,11 +270,6 @@ def ep_sweep(
     J_values = np.asarray(sorted(float(j) for j in J_range))
     if J_values.size < 2:
         raise ConfigurationError("ep_sweep needs at least two hopping values")
-    (left_pat, _), _ = base.pattern
-    im_beta = 2.0 * abs(left_pat.g2) * base.hopping_J
-    if im_beta <= 0:
-        # lossless pattern: nothing is held fixed, lattices just rescale
-        im_beta = 0.0
 
     if0 = base.interface_index - 1
     sel_sites = list(range(if0, min(if0 + SITES_PER_CELL, base.n_sites)))
@@ -278,11 +279,7 @@ def ep_sweep(
     conds = np.empty((J_values.size, 2))
     prev_pair = None  # (n, 2) tracked eigenvector columns from the previous J
     for idx, J in enumerate(J_values):
-        if im_beta > 0:
-            lat = _scaled_interface(base, im_beta, J)
-        else:
-            lat = replace(base, hopping_J=J)
-        spec = eig_full(real_space_hamiltonian(lat))
+        spec = eig_full(real_space_hamiltonian(_scaled_interface(base, J)))
         vr = spec.right_vectors
         if prev_pair is None:
             weight = (np.abs(vr[sel_sites, :]) ** 2).sum(axis=0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhlattice.analysis import (
     fit_decay,
@@ -171,7 +173,30 @@ class TestFitOscillation:
         fit = fit_oscillation(z, trace)
         decay = fit_decay(z, trace)
         assert abs(fit.kz_osc) < 1e-6
+        assert fit.kz_osc_at_zero
         assert fit.ell == pytest.approx(decay.ell, rel=1e-3)
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        kz=st.floats(0.05, 0.5), ell=st.floats(5.0, 300.0), a1=st.floats(0.1, 5.0),
+        a0_per_a1=st.floats(1.0, 2.0), phi=st.floats(-np.pi, np.pi),
+    )
+    def test_recovers_noise_free_damped_cosines(self, kz, ell, a1, a0_per_a1, phi):
+        z = np.linspace(0.0, 100.0, 10001)
+        trace = a1 * np.cos(kz * z + phi) * np.exp(-z / ell) + a0_per_a1 * a1
+        fit = fit_oscillation(z, trace)
+        assert fit.kz_osc == pytest.approx(kz, rel=1e-6)
+        assert not fit.kz_osc_at_zero
+
+    def test_rss_is_the_residual_of_the_reported_parameters(self, edge_field_iii):
+        z, trace = edge_field_iii.site_trace(1)
+        fit = fit_oscillation(z, trace)
+        in_range = (z >= 4.0) & (z <= 80.0)  # the default range, decimated 1 in 6
+        x, y = z[in_range][::6], trace[in_range][::6]
+        model = fit.a1 * np.cos(fit.kz_osc * x + fit.phi) * np.exp(-x / fit.ell) + fit.a0
+        assert fit.rss == pytest.approx(float(((y - model) ** 2).sum()), rel=1e-9)
+        assert fit.covariance.shape == (5, 5)
+        assert np.all(np.diag(fit.covariance) >= 0)
 
     def test_trivial_edge_frequency_grows_with_hopping(self):
         curve = default_hopping_curve()

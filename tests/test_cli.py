@@ -84,6 +84,20 @@ CONFIG_ONLY_ERRORS = {
     "unknown_symmetry_case": (
         {"run": "symmetry", "params": {"cases": ["chiral"]}}, "config.params.cases"
     ),
+    "amplitude_budget": (
+        beam("propagate", {"z_max": 1e6, "dz": 0.01}, lattice=dict(CHAIN, n_sites=400)),
+        "config.params",
+    ),
+    "transform_budget": (beam("momentum", {"pad_factor": 32}), "config.params.pad_factor"),
+    "j_scan_budget": (
+        {"run": "ep-sweep", "lattice": IFACE, "params": {"j_step": 1e-12}},
+        "config.params.j_step",
+    ),
+    "g2_scan_budget": (
+        {"run": "interface-compare", "lattice": {"hopping_J": 0.045, "spacing_d": 1.4},
+         "params": {"g2_step": 1e-9}},
+        "config.params.g2_step",
+    ),
     "builtin_kind": (
         {"run": "calibrate", "params": {"kind": "generic", "points": "builtin"}},
         "config.params.kind",
@@ -239,6 +253,17 @@ class TestRun:
         derived = manifest["derived_parameters"]
         assert derived["lattice.hopping_J_from_spacing"] == pytest.approx(0.045, rel=1e-9)
         assert derived["lattice.interface.left.g_from_im_beta"] == pytest.approx(1.111, abs=1e-3)
+
+    def test_fig4b_flags_the_quasi_stationary_interface_fits(self, tmp_path):
+        fig4b = next(p for p in FIGS if p.stem == "fig4b")
+        cfg = dict(json.loads(fig4b.read_text()), output_dir=str(tmp_path / "out"))
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
+        fits = [json.loads(p.read_text())
+                for p in sorted((tmp_path / "out").glob("point_*/fit.json"))]
+        # grid order: spacing 1.8, 1.6, 1.4, 1.2, 1.0, each with edge then interface
+        assert [f["kz_osc_at_zero"] for f in fits] == [False, True, False, True] + [False] * 6
+        assert all(f["rss"] >= 0 for f in fits)
+        assert max(fits[1]["kz_osc"], fits[3]["kz_osc"]) < 1e-6
 
     def test_run_is_deterministic(self, tmp_path):
         cfg = spectrum_config(tmp_path, out="out1")

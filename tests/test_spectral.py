@@ -18,6 +18,7 @@ from nhlattice.spectral import (
     biorthonormalize,
     eig_full,
     ep_sweep,
+    _scaled_interface,
     find_zero_modes,
 )
 
@@ -256,6 +257,39 @@ class TestEPSweep:
         )
         res = ep_sweep(iface, np.arange(0.04, 0.121, 0.004))
         assert res.edge_pair_separation.min() > 1e-3 * J
+
+    @pytest.mark.parametrize("left, right", [
+        (LossPattern.from_g(2.0, 0.5, -1.0), LossPattern.from_g(2.0, 0.5, 1.0)),
+        (LossPattern.trivial(1.1111111111111112), LossPattern.topological(1.1111111111111112)),
+    ], ids=["asymmetric", "symmetric"])
+    def test_rebuild_at_base_hopping_is_the_base(self, left, right):
+        base = interface_lattice(left, right, 6, 6, lattice(LossPattern.lossless(), n_sites=4))
+        rebuilt = _scaled_interface(base, base.hopping_J)
+        assert np.array_equal(rebuilt.onsite_values(), base.onsite_values())
+
+    def test_rebuild_holds_every_site_beta(self):
+        custom = LossPattern.custom([0.3 - 0.2j, -1.5j, 0.1, -0.7j], g0=0.4)
+        base = interface_lattice(
+            LossPattern.from_g(2.0, 0.5, -1.0), custom, 3, 3,
+            lattice(LossPattern.lossless(), n_sites=4),
+        )
+        rebuilt = _scaled_interface(base, 0.07)
+        np.testing.assert_allclose(
+            0.07 * rebuilt.onsite_values(), J * base.onsite_values(), rtol=1e-15
+        )
+
+    def test_asymmetric_domains_track_the_configured_lattice(self):
+        base = interface_lattice(
+            LossPattern.from_g(2.0, 0.5, -1.0), LossPattern.from_g(2.0, 0.5, 1.0), 6, 6,
+            lattice(LossPattern.lossless(), n_sites=4),
+        )
+        beta = base.re_beta + J * base.onsite_values()  # held fixed across the sweep
+        hop = np.eye(base.n_sites, k=1) + np.eye(base.n_sites, k=-1)
+        res = ep_sweep(base, np.arange(0.04, 0.12001, 0.001))
+        for j_hop, pair in zip(res.J_values, res.pair_eigenvalues):
+            spectrum = np.linalg.eigvals(np.diag(beta) + j_hop * hop)
+            for e in pair:
+                assert np.abs(spectrum - e).min() < 1e-9
 
     def test_requires_interface_lattice(self):
         with pytest.raises(ConfigurationError):
