@@ -358,10 +358,10 @@ def _propagate_from_config(c, derived):
 
 
 def _write_field(field, out_dir: Path, save_amplitudes: bool, save_every: int):
-    intens = field.intensities()
     keep = range(0, field.z_grid.size, save_every)
+    intens = field.intensities(slice(0, None, save_every))
     header = ["z"] + [f"site{j + 1}" for j in range(field.spec.n_sites)]
-    rows = [[field.z_grid[i]] + list(intens[i]) for i in keep]
+    rows = [[field.z_grid[i]] + list(row) for i, row in zip(keep, intens)]
     outputs = [serialization.write_csv(out_dir / "intensity.csv", header, rows)]
     outputs.append(serialization.write_json(out_dir / "z_grid.json", {
         "z_min": float(field.z_grid[0]),
@@ -395,11 +395,11 @@ def _run_propagate(c, out_dir: Path, derived: dict):
     outputs = _write_field(
         field, out_dir, params["save_amplitudes"], params["save_every"]
     )
-    intens = field.intensities()
+    last = field.intensities(-1)
     summary = {
         "excited_site": exc.site,
-        "final_total_intensity": float(intens[-1].sum()),
-        "excited_final_fraction": float(intens[-1, exc.site - 1] / max(intens[-1].sum(), 1e-300)),
+        "final_total_intensity": float(last.sum()),
+        "excited_final_fraction": float(last[exc.site - 1] / max(last.sum(), 1e-300)),
     }
     return summary, outputs
 

@@ -14,6 +14,7 @@ and leaves momentum spectra centered at the physical k_z.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -89,6 +90,10 @@ class Excitation:
         return cls(kind=kind, site=resolved, amplitude=complex(amplitude))
 
 
+def _intensity(amps: np.ndarray) -> np.ndarray:
+    return np.abs(amps) ** 2 if np.iscomplexobj(amps) else np.asarray(amps)
+
+
 @dataclass(frozen=True)
 class FieldEvolution:
     """Complex amplitudes a_j(z) on a uniform z grid.
@@ -105,16 +110,15 @@ class FieldEvolution:
     def has_phase(self) -> bool:
         return np.iscomplexobj(self.amplitudes)
 
-    def intensities(self) -> np.ndarray:
-        if self.has_phase:
-            return np.abs(self.amplitudes) ** 2
-        return np.asarray(self.amplitudes)
+    def intensities(self, rows=slice(None)) -> np.ndarray:
+        """|a_j|^2 at the z samples ``rows`` (an index or a slice; all by default)."""
+        return _intensity(self.amplitudes[rows])
 
     def site_trace(self, site: int) -> Tuple[np.ndarray, np.ndarray]:
         """(z, intensity) at one 1-based site."""
         if not 1 <= site <= self.spec.n_sites:
             raise ConfigurationError(f"site {site} out of range")
-        return self.z_grid, self.intensities()[:, site - 1]
+        return self.z_grid, _intensity(self.amplitudes[:, site - 1])
 
     @classmethod
     def from_intensity(cls, z_grid, intensities, spec) -> "FieldEvolution":
@@ -130,8 +134,23 @@ def coupled_mode_matrix(spec: LatticeSpec) -> np.ndarray:
     return np.conj(real_space_hamiltonian(spec).matrix)
 
 
+def _mapped_empty(shape: Tuple[int, int]) -> np.ndarray:
+    """Uninitialised complex array on an anonymous mapping of its own.
+
+    Through malloc, glibc's adaptive mmap threshold puts arrays below 32 MiB
+    on the heap once one such array has been freed, and how much of the heap
+    stays resident after they are dropped depends on the order of earlier
+    allocations. A mapping of its own is unmapped with the array, so the
+    resident size during and after a propagation does not depend on what ran
+    before it in the process.
+    """
+    count = shape[0] * shape[1]
+    buf = mmap.mmap(-1, max(count, 1) * np.dtype(complex).itemsize)
+    return np.frombuffer(buf, dtype=complex, count=count).reshape(shape)
+
+
 def _rk4(m_rot: np.ndarray, a0: np.ndarray, n_steps: int, dz: float) -> np.ndarray:
-    out = np.empty((n_steps + 1, a0.size), dtype=complex)
+    out = _mapped_empty((n_steps + 1, a0.size))
     out[0] = a0
     a = a0
     gen = 1j * m_rot
@@ -164,7 +183,7 @@ def _expm_evolution(
     if cond > 1e8:
         # near-defective generator: fall back to scaling-and-squaring steps
         step = sla.expm(1j * m_rot * dz)
-        out = np.empty((z.size, a0.size), dtype=complex)
+        out = _mapped_empty((z.size, a0.size))
         out[0] = a0
         a = a0
         for n in range(1, z.size):
@@ -172,7 +191,15 @@ def _expm_evolution(
             out[n] = a
         return out
     coeff = np.linalg.solve(v, a0)
-    return (v @ (np.exp(1j * np.outer(w, z)) * coeff[:, None])).T
+    # modes (n_sites, n_z) = exp(i w z) * coeff, then v @ modes, built in place
+    modes = _mapped_empty((w.size, z.size))
+    np.multiply(w[:, None], z[None, :], out=modes)
+    modes *= 1j
+    np.exp(modes, out=modes)
+    modes *= coeff[:, None]
+    out = _mapped_empty((a0.size, z.size))
+    np.matmul(v, modes, out=out)
+    return out.T
 
 
 def propagate(
@@ -217,7 +244,7 @@ def propagate(
     else:
         raise ConfigurationError(f"unknown method {method!r}")
 
-    amps = amps * np.exp(1j * spec.re_beta * z)[:, None]
+    amps *= np.exp(1j * spec.re_beta * z)[:, None]
     return FieldEvolution(z_grid=z, amplitudes=amps, spec=spec)
 
 

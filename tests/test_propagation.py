@@ -155,6 +155,18 @@ class TestPropagate:
         with pytest.raises(StepSizeError):
             _rk4(m, a0, n_steps=200, dz=40.0)
 
+    def test_expm_falls_back_on_defective_generator(self):
+        from nhlattice.propagation import _expm_evolution
+
+        # a single Jordan block: exp(i m z) a0 = e^(-0.05 z) (0.045 i z, 1)
+        m = np.array([[0.05j, 0.045], [0.0, 0.05j]])
+        w, v = np.linalg.eig(m)
+        assert np.linalg.cond(v) > 1e8
+        z = np.arange(101) * 0.5
+        out = _expm_evolution(m, np.array([0.0, 1.0 + 0j]), z, 0.5)
+        decay = np.exp(-0.05 * z)
+        assert np.abs(out - np.column_stack([0.045j * z * decay, decay])).max() < 1e-12
+
     def test_unknown_method(self):
         spec = lattice(LossPattern.lossless(), n_sites=8)
         with pytest.raises(ConfigurationError):
@@ -165,6 +177,16 @@ class TestPropagate:
         field = FieldEvolution.from_intensity([0.0, 0.1], np.ones((2, 8)), spec)
         assert not field.has_phase
         assert np.array_equal(field.intensities(), np.ones((2, 8)))
+
+    @pytest.mark.parametrize("method", ["rk4", "expm"])
+    def test_intensities_of_some_rows(self, method):
+        spec = lattice(LossPattern.topological(1.1), n_sites=12, re_beta=6.6)
+        field = propagate(spec, Excitation.resolve("edge", spec), z_max=5.0, dz=0.1,
+                          method=method)
+        full = field.intensities()
+        assert np.array_equal(field.intensities(slice(0, None, 7)), full[::7])
+        assert np.array_equal(field.intensities(-1), full[-1])
+        assert np.array_equal(field.site_trace(3)[1], full[:, 2])
 
 
 class TestCenterOfMass:
