@@ -21,6 +21,9 @@ from .spectral import eig_full
 WINDOW_NONE = "none"
 WINDOW_HANN = "hann"
 
+#: kx columns per block of the momentum transform's z pass.
+_KX_BLOCK = 16
+
 #: Decay-fit defaults: range starts in um and the range end in um.
 DECAY_FIT_STARTS = (4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0)
 DECAY_FIT_END = 80.0
@@ -75,6 +78,12 @@ def momentum_spectrum(
     With the evolution convention a ~ exp(i*beta*z) the longitudinal peak of
     a mode sits at kz = Re(beta) + Re(E). Requires complex amplitudes, at
     least 8 sites and 64 z samples.
+
+    The transform runs along x once, then along z for ``_KX_BLOCK`` kx
+    columns at a time, whose power goes straight into both zones of the
+    result. Besides ``power`` (16 B per padded entry) it holds the windowed
+    field, its x transform (n_z * pad * n_x complex values) and one block of
+    the z transform at a time, never the whole padded transform.
     """
     if not field.has_phase:
         raise PhaseRequiredError(
@@ -95,19 +104,29 @@ def momentum_spectrum(
         raise ConfigurationError(f"unknown window {window!r}")
 
     n_zf, n_xf = pad_factor * n_z, pad_factor * n_x
-    spec = np.fft.fft2(a, s=(n_zf, n_xf))
-    power = np.abs(spec) ** 2 / (n_zf * n_xf)  # sum(power) == sum(|a_w|^2)
-
     dz = field.z_grid[1] - field.z_grid[0]
     d = field.spec.spacing_d
     kz = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(n_zf, d=dz))
-    power = np.fft.fftshift(power, axes=0)
-
-    # extend kx periodically over two zones [-2pi/d, 2pi/d)
+    # kx extends periodically over two zones [-2pi/d, 2pi/d): column j of
+    # the result is transform bin j mod n_xf
     dkx = 2.0 * np.pi / (n_xf * d)
     kx_ext = (np.arange(2 * n_xf) - n_xf) * dkx
-    bins = np.round(kx_ext / dkx).astype(int) % n_xf
-    power = power[:, bins]
+
+    # x pass once, then the z pass per block of kx columns: fft2's order, so
+    # the same bits. power.sum() adds in memory order, so Fortran order gives
+    # the total_power_one_zone bits of a column-by-column map.
+    ax = np.fft.fft(a, n_xf, axis=1)
+    power = np.empty((n_zf, 2 * n_xf), order="F")
+    half = n_zf // 2  # fftshift along z: row i of the result is bin i - half
+    for j0 in range(0, n_xf, _KX_BLOCK):
+        j1 = min(j0 + _KX_BLOCK, n_xf)
+        block = np.fft.fft(ax[:, j0:j1], n_zf, axis=0)
+        dest = power[:, j0:j1]
+        np.abs(block[: n_zf - half], out=dest[half:])
+        np.abs(block[n_zf - half :], out=dest[:half])
+        np.square(dest, out=dest)
+        dest /= n_zf * n_xf  # sum(power) == sum(|a_w|^2)
+        power[:, n_xf + j0 : n_xf + j1] = dest
     return MomentumSpectrum(
         kx_grid=kx_ext, kz_grid=kz, power=power, window=window, pad_factor=pad_factor
     )

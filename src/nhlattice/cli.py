@@ -232,7 +232,19 @@ def _check_lattice(obj, path: str, run: str) -> dict:
         lat["pattern"] = _check_pattern(lat["pattern"], f"{path}.pattern")
     if lat["interface"] is not None:
         lat["interface"] = _check_interface(lat["interface"], f"{path}.interface")
+    n_sites = _n_sites(lat)
+    if n_sites is not None:
+        where = "n_sites" if lat["interface"] is None else "interface"
+        _over_budget(f"{path}.{where}", "lattice sites", MAX_SITES, n_sites)
     return lat
+
+
+def _n_sites(lat: dict) -> Optional[int]:
+    """Sites of the chain a checked lattice section builds (None for a cell)."""
+    iface = lat["interface"]
+    if iface is None:
+        return lat["n_sites"]
+    return 4 * (iface["n_left_cells"] + iface["n_right_cells"])
 
 
 def _check_excitation(obj, path: str) -> dict:
@@ -576,11 +588,14 @@ def _run_calibrate(c, out_dir: Path, derived: dict):
 # cross-field checks on a checked config, run by validate_config
 
 #: Work and memory budgets: complex amplitudes a propagation stores
-#: ((z_max/dz + 1) * n_sites), complex entries of the padded momentum
-#: transform (pad_factor^2 * n_z * n_sites), and points of a J or g2 scan.
+#: ((z_max/dz + 1) * n_sites); entries of the padded momentum transform
+#: (pad_factor^2 * n_z * n_sites), each 16 B of the two-zone power map; points
+#: of a J or g2 scan; and sites of any lattice a run builds, whose dense
+#: matrix takes 16 * n_sites^2 B (64 MB at the bound).
 MAX_AMPLITUDES = 20_000_000
 MAX_TRANSFORM = 50_000_000
 MAX_SCAN = 10_000
+MAX_SITES = 2_000
 
 
 def _over_budget(path: str, what: str, budget: int, *factors):
@@ -592,10 +607,8 @@ def _over_budget(path: str, what: str, budget: int, *factors):
 
 
 def _check_field(c, path: str):
-    lat, params = c["lattice"], c["params"]
-    iface = lat["interface"]
-    n_sites = lat["n_sites"] if iface is None else 4 * (
-        iface["n_left_cells"] + iface["n_right_cells"])
+    params = c["params"]
+    n_sites = _n_sites(c["lattice"])
     # propagate keeps round(z_max / dz) + 1 samples
     n_z = params["z_max"] / params["dz"] + 1.0
     _over_budget(f"{path}.params", "stored amplitudes (z_max/dz + 1) * n_sites",
@@ -631,7 +644,13 @@ def _check_ep_sweep(c, path: str):
 
 
 def _check_interface_compare(c, path: str):
-    _check_scan(c, path, "g2")
+    if _check_scan(c, path, "g2") < -0.5:
+        raise ConfigError(f"{path}.params", "the g2 scan holds no values (g2_max < g2_min)")
+    params = c["params"]
+    _over_budget(f"{path}.params.n_cells_per_side", "interface lattice sites",
+                 MAX_SITES, 8 * params["n_cells_per_side"])
+    _over_budget(f"{path}.params.n_sites_defect", "defect lattice sites",
+                 MAX_SITES, params["n_sites_defect"])
 
 
 def _check_calibrate(c, path: str):
@@ -777,6 +796,10 @@ def _resolve_path(cfg: dict, dotted: str, err_path: str) -> Tuple[dict, str]:
     return node, parts[-1]
 
 
+#: Failures of a run's numerics: exit 3, or a failed sweep point.
+_NUMERICAL = (NumericalError, np.linalg.LinAlgError)
+
+
 def _write_diagnostics(out_dir: Path, exc: Exception) -> None:
     serialization.write_json(out_dir / "diagnostics.json", {
         "error_class": type(exc).__name__,
@@ -838,7 +861,7 @@ def execute_sweep(cfg: dict, out_dir: Path) -> None:
         point_dir = out_dir / f"point_{idx:03d}"
         try:
             return execute_single(points[idx][1], point_dir), ""
-        except (ConfigurationError, NumericalError) as exc:
+        except (ConfigurationError, *_NUMERICAL) as exc:
             _write_diagnostics(point_dir, exc)
             return {}, type(exc).__name__
 
@@ -916,7 +939,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except _NUMERICAL as exc:
         _write_diagnostics(out_dir, exc)
         print(f"numerical error: {exc} (diagnostics written)", file=sys.stderr)
         return 3

@@ -32,6 +32,11 @@ from .lattice import (
 #: Fixed-step stability bound: dz <= STABILITY_FACTOR / ||M||_2.
 STABILITY_FACTOR = 0.1
 
+#: z samples per block of the expm product. Blocks that start at multiples
+#: of a fixed power of two keep the BLAS product bit-identical to one product
+#: over all z; the leftover columns form the last block.
+_Z_BLOCK = 1024
+
 DEFAULT_DZ = 0.01
 DEFAULT_Z_MAX = 100.0
 
@@ -177,6 +182,12 @@ def _rk4(m_rot: np.ndarray, a0: np.ndarray, n_steps: int, dz: float) -> np.ndarr
 def _expm_evolution(
     m_rot: np.ndarray, a0: np.ndarray, z: np.ndarray, dz: float
 ) -> np.ndarray:
+    """Amplitudes (n_z, n_sites) from the eigendecomposition of ``m_rot``.
+
+    Besides the (n_sites, n_z) output it holds one block of at most
+    ``_Z_BLOCK`` + 1 columns of mode factors exp(i w z) * coeff at a time.
+    The near-defective fallback holds the output and one propagator step.
+    """
     w, v = np.linalg.eig(m_rot)
     vl_norm = np.linalg.norm(np.linalg.inv(v), axis=1)
     cond = np.max(vl_norm * np.linalg.norm(v, axis=0))
@@ -191,14 +202,20 @@ def _expm_evolution(
             out[n] = a
         return out
     coeff = np.linalg.solve(v, a0)
-    # modes (n_sites, n_z) = exp(i w z) * coeff, then v @ modes, built in place
-    modes = _mapped_empty((w.size, z.size))
-    np.multiply(w[:, None], z[None, :], out=modes)
-    modes *= 1j
-    np.exp(modes, out=modes)
-    modes *= coeff[:, None]
+    # a(z) = v @ (exp(i w z) * coeff), one block of z columns at a time
     out = _mapped_empty((a0.size, z.size))
-    np.matmul(v, modes, out=out)
+    buf = _mapped_empty((w.size, min(_Z_BLOCK + 1, z.size)))
+    # a last block of one column would go to gemv, whose bits differ from
+    # gemm's, so one leftover column joins the block before it
+    j0 = 0
+    for j1 in [*range(_Z_BLOCK, z.size - 1, _Z_BLOCK), z.size]:
+        modes = buf[:, : j1 - j0]
+        np.multiply(w[:, None], z[None, j0:j1], out=modes)
+        modes *= 1j
+        np.exp(modes, out=modes)
+        modes *= coeff[:, None]
+        np.matmul(v, modes, out=out[:, j0:j1])
+        j0 = j1
     return out.T
 
 

@@ -29,10 +29,16 @@ def fmt(value) -> str:
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    """Header and rows as CSV; a row of real floats is formatted in one call."""
     path = Path(path)
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+        row = tuple(row)
+        if all(isinstance(v, (float, np.floating)) for v in row):
+            # "%.17g" gives the bytes of fmt for every float, nan and inf too
+            lines.append(",".join(["%.17g"] * len(row)) % row)
+        else:
+            lines.append(",".join(fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path
 
@@ -74,10 +80,7 @@ def matrix_to_csv(path, matrix: np.ndarray) -> Path:
     header = []
     for j in range(m.shape[1]):
         header += [f"re{j}", f"im{j}"]
-    rows = []
-    for row in m:
-        flat = []
-        for v in row:
-            flat += [float(np.real(v)), float(np.imag(v))]
-        rows.append(flat)
-    return write_csv(path, header, rows)
+    pairs = np.empty((m.shape[0], 2 * m.shape[1]))
+    pairs[:, 0::2] = m.real
+    pairs[:, 1::2] = m.imag
+    return write_csv(path, header, pairs.tolist())

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,6 +93,49 @@ class TestMomentumSpectrum:
             predicted = 6.6 + 2 * J * np.cos(ms.kx_grid[ix] * D)
             worst = max(worst, abs(ridge - predicted))
         assert worst < 0.02
+
+    @staticmethod
+    def fft2_reference(field, window, pad):
+        """The power map as one fft2 of the whole padded field."""
+        a = field.amplitudes
+        n_z, n_x = a.shape
+        if window == "hann":
+            a = a * np.hanning(n_z)[:, None] * np.hanning(n_x)[None, :]
+        n_zf, n_xf = pad * n_z, pad * n_x
+        power = np.abs(np.fft.fft2(a, s=(n_zf, n_xf))) ** 2 / (n_zf * n_xf)
+        power = np.fft.fftshift(power, axes=0)
+        return power[:, np.tile(np.arange(n_xf), 2)]
+
+    @pytest.mark.parametrize("n_x, n_z, pad, window", [
+        (48, 301, 4, "hann"),  # 12 full kx blocks
+        (9, 201, 3, "none"),  # a partial block, odd padded z length
+        (8, 64, 1, "hann"),
+    ])
+    def test_blocked_transform_matches_fft2_bit_for_bit(self, n_x, n_z, pad, window):
+        spec = lattice(LossPattern.topological(1.1), n_sites=n_x)
+        rng = np.random.default_rng(n_x)
+        amps = rng.standard_normal((n_x, n_z)) + 1j * rng.standard_normal((n_x, n_z))
+        # F-ordered like a propagated field
+        field = FieldEvolution(z_grid=np.arange(n_z) * 0.0125, amplitudes=amps.T, spec=spec)
+        ms = momentum_spectrum(field, window=window, pad_factor=pad)
+        ref = self.fft2_reference(field, window, pad)
+        assert np.array_equal(ms.power, ref)
+        assert ms.power.flags.f_contiguous
+        assert ms.power.sum() == ref.sum()
+
+    def test_peak_memory_stays_near_the_power_map(self):
+        # fig2c's size: 8001 z samples of 48 sites, padded 4x
+        spec = lattice(LossPattern.topological(1.1))
+        rng = np.random.default_rng(0)
+        amps = (rng.standard_normal((48, 8001)) + 1j * rng.standard_normal((48, 8001))).T
+        field = FieldEvolution(z_grid=np.arange(8001) * 0.0125, amplitudes=amps, spec=spec)
+        tracemalloc.start()
+        try:
+            ms = momentum_spectrum(field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * ms.power.nbytes
 
     def test_flat_band_width_shrinks_with_propagation_length(self):
         spec = lattice(LossPattern.topological(1.1))

@@ -2,10 +2,12 @@ import copy
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from nhlattice import spectral
 from nhlattice.cli import main
 
 FIGS = sorted(Path(__file__).resolve().parents[1].glob("configs/figs/*.json"))
@@ -42,6 +44,18 @@ IFACE = {
     "hopping_J": 0.045, "spacing_d": 1.4,
     "interface": {"n_left_cells": 3, "n_right_cells": 3, "im_beta": 0.1},
 }
+
+
+def fail_eig_at(monkeypatch, n_sites):
+    """Make the eigensolver raise LinAlgError on n_sites x n_sites matrices."""
+    eig = spectral.sla.eig
+
+    def failing(m, **kwargs):
+        if m.shape[0] == n_sites:
+            raise np.linalg.LinAlgError("eig algorithm did not converge")
+        return eig(m, **kwargs)
+
+    monkeypatch.setattr(spectral.sla, "eig", failing)
 
 
 def beam(run, params=None, excitation=None, lattice=CHAIN):
@@ -97,6 +111,29 @@ CONFIG_ONLY_ERRORS = {
         {"run": "interface-compare", "lattice": {"hopping_J": 0.045, "spacing_d": 1.4},
          "params": {"g2_step": 1e-9}},
         "config.params.g2_step",
+    ),
+    "g2_scan_empty": (
+        {"run": "interface-compare", "lattice": {"hopping_J": 0.045, "spacing_d": 1.4},
+         "params": {"g2_min": 2.0, "g2_max": 1.0}},
+        "config.params",
+    ),
+    "chain_site_budget": (
+        {"run": "spectrum", "lattice": dict(CHAIN, n_sites=100_000)}, "config.lattice.n_sites"
+    ),
+    "interface_site_budget": (
+        {"run": "ep-sweep", "lattice": dict(IFACE, interface={
+            "n_left_cells": 20_000, "n_right_cells": 20_000, "im_beta": 0.1})},
+        "config.lattice.interface",
+    ),
+    "compare_cells_budget": (
+        {"run": "interface-compare", "lattice": {"hopping_J": 0.045, "spacing_d": 1.4},
+         "params": {"n_cells_per_side": 10**30}},
+        "config.params.n_cells_per_side",
+    ),
+    "compare_defect_budget": (
+        {"run": "interface-compare", "lattice": {"hopping_J": 0.045, "spacing_d": 1.4},
+         "params": {"n_sites_defect": 100_000}},
+        "config.params.n_sites_defect",
     ),
     "builtin_kind": (
         {"run": "calibrate", "params": {"kind": "generic", "points": "builtin"}},
@@ -238,6 +275,13 @@ class TestRun:
         diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
         assert diag["error_class"] == "GaplessSpectrumError"
 
+    def test_linalg_error_is_status_3_with_diagnostics(self, tmp_path, monkeypatch, capsys):
+        fail_eig_at(monkeypatch, 40)
+        assert main(["run", write_config(tmp_path, spectrum_config(tmp_path))]) == 3
+        assert "numerical error" in capsys.readouterr().err
+        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        assert diag["error_class"] == "LinAlgError"
+
     def test_interface_lattice_and_derived_parameters(self, tmp_path):
         cfg = {
             "run": "spectrum",
@@ -341,6 +385,20 @@ class TestSweep:
         assert manifest["failed_points"] == [1]
         diag = json.loads((out / "point_001" / "diagnostics.json").read_text())
         assert "outside lattice" in diag["message"]
+
+    def test_point_linalg_error_recorded_not_fatal(self, tmp_path, monkeypatch):
+        fail_eig_at(monkeypatch, 16)
+        cfg = spectrum_config(tmp_path)
+        cfg["grid"] = [{"path": "lattice.n_sites", "values": [12, 16]}]
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
+        out = tmp_path / "out"
+        rows = (out / "results.csv").read_text().splitlines()
+        assert rows[1].endswith(",")
+        assert rows[2].endswith(",LinAlgError")
+        manifest = json.loads((out / "sweep_manifest.json").read_text())
+        assert manifest["failed_points"] == [1]
+        diag = json.loads((out / "point_001" / "diagnostics.json").read_text())
+        assert diag["error_class"] == "LinAlgError"
 
     def test_worker_pool_output_identical(self, tmp_path, monkeypatch):
         cfg = spectrum_config(tmp_path, out="serial")

@@ -6,8 +6,11 @@ from nhlattice.lattice import LatticeSpec, LossPattern, interface_lattice
 from nhlattice.propagation import (
     Excitation,
     FieldEvolution,
+    _expm_evolution,
+    _rk4,
     beating_period,
     center_of_mass,
+    coupled_mode_matrix,
     propagate,
 )
 
@@ -146,8 +149,6 @@ class TestPropagate:
     def test_runtime_instability_detection(self):
         # drive the fixed-step kernel past its stability region directly;
         # spurious growth in a purely lossy lattice must be caught
-        from nhlattice.propagation import _rk4, coupled_mode_matrix
-
         spec = lattice(LossPattern.topological(1.1), n_sites=24, re_beta=0.0)
         m = coupled_mode_matrix(spec)
         a0 = np.zeros(24, dtype=complex)
@@ -156,8 +157,6 @@ class TestPropagate:
             _rk4(m, a0, n_steps=200, dz=40.0)
 
     def test_expm_falls_back_on_defective_generator(self):
-        from nhlattice.propagation import _expm_evolution
-
         # a single Jordan block: exp(i m z) a0 = e^(-0.05 z) (0.045 i z, 1)
         m = np.array([[0.05j, 0.045], [0.0, 0.05j]])
         w, v = np.linalg.eig(m)
@@ -166,6 +165,18 @@ class TestPropagate:
         out = _expm_evolution(m, np.array([0.0, 1.0 + 0j]), z, 0.5)
         decay = np.exp(-0.05 * z)
         assert np.abs(out - np.column_stack([0.045j * z * decay, decay])).max() < 1e-12
+
+    @pytest.mark.parametrize("n_z", [300, 2049, 2500])
+    def test_blocked_expm_matches_one_shot_product(self, n_z):
+        # below one block, a one-column leftover, several blocks and a remainder
+        m = coupled_mode_matrix(lattice(LossPattern.topological(1.1), n_sites=40))
+        a0 = np.zeros(40, dtype=complex)
+        a0[0] = 1.0
+        w, v = np.linalg.eig(m)
+        coeff = np.linalg.solve(v, a0)
+        z = np.arange(n_z) * 0.01
+        one_shot = v @ (np.exp(1j * w[:, None] * z[None, :]) * coeff[:, None])
+        assert np.array_equal(_expm_evolution(m, a0, z, 0.01), one_shot.T)
 
     def test_unknown_method(self):
         spec = lattice(LossPattern.lossless(), n_sites=8)

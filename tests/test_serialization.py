@@ -59,6 +59,29 @@ def test_matrix_csv_re_im_pairs(tmp_path):
     assert first == [1.0, 2.0, 0.0, 0.0]
 
 
+def test_float_rows_keep_the_bytes_of_fmt(tmp_path):
+    rng = np.random.default_rng(0)
+    floats = 10.0 ** rng.uniform(-300, 300, (20, 7)) * rng.choice([-1, 1], (20, 7))
+    floats[0, :4] = [np.nan, np.inf, -np.inf, -0.0]
+    rows = [list(r) for r in floats] + [[0.5, np.float32(0.1), np.float64(2.0)]]
+    # one non-float cell sends a row through fmt
+    rows += [[1.5, True], [1.5, 10**20], [1.5, 1 + 2j], [1.5, np.bool_(False)], [1.5, "a"]]
+    text = write_csv(tmp_path / "f.csv", ["h"], rows).read_text()
+    expected = ["h"] + [",".join(fmt(v) for v in row) for row in rows]
+    assert text == "\n".join(expected) + "\n"
+
+
+def test_matrix_csv_matches_entrywise_pairs(tmp_path):
+    rng = np.random.default_rng(1)
+    m = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    m[0, 0] = complex(-0.0, np.nan)
+    for matrix in (m, m.real, np.arange(6).reshape(2, 3)):
+        lines = matrix_to_csv(tmp_path / "m.csv", matrix).read_text().splitlines()
+        for row, line in zip(matrix, lines[1:]):
+            pairs = [fmt(float(part(v))) for v in row for part in (np.real, np.imag)]
+            assert line == ",".join(pairs)
+
+
 def test_jsonable_nested():
     out = jsonable({"k": (np.int32(1), [np.float32(2.0)])})
     assert out == {"k": [1, [2.0]]}
