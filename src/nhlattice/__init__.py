@@ -15,21 +15,13 @@ from .spectral import (
     ComplexSpectrum,
     EPSweepResult,
     ZeroModeReport,
-    biorthonormalize,
     eig_full,
     ep_sweep,
     find_zero_modes,
 )
 from .topology import WindingResult, winding_number, winding_phase_diagram
 from .symmetry import SymmetryReport, build_HDP, check_symmetries
-from .propagation import (
-    BeatingResult,
-    Excitation,
-    FieldEvolution,
-    beating_period,
-    center_of_mass,
-    propagate,
-)
+from .propagation import Excitation, FieldEvolution, propagate
 from .analysis import (
     DecayFit,
     InterfaceComparison,
@@ -54,7 +46,6 @@ __all__ = [
     "ComplexSpectrum",
     "EPSweepResult",
     "ZeroModeReport",
-    "biorthonormalize",
     "eig_full",
     "ep_sweep",
     "find_zero_modes",
@@ -64,11 +55,8 @@ __all__ = [
     "SymmetryReport",
     "build_HDP",
     "check_symmetries",
-    "BeatingResult",
     "Excitation",
     "FieldEvolution",
-    "beating_period",
-    "center_of_mass",
     "propagate",
     "DecayFit",
     "InterfaceComparison",

@@ -13,10 +13,6 @@ class NumericalError(RuntimeError):
         self.diagnostics = dict(diagnostics or {})
 
 
-class DefectiveMatrixError(NumericalError):
-    """Eigenvector pair too ill-conditioned to biorthonormalize (near an EP)."""
-
-
 class GaplessSpectrumError(NumericalError):
     """Band gap closed on the sampled grid; the invariant is undefined."""
 

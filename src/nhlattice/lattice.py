@@ -172,10 +172,6 @@ class LatticeSpec:
         ]
         return np.concatenate(parts)
 
-    def site_positions(self) -> np.ndarray:
-        """Transverse site coordinates x_j = (j - 1) * d in um, 1-based sites."""
-        return np.arange(self.n_sites) * self.spacing_d
-
     def single_pattern(self) -> LossPattern:
         if not self.is_uniform:
             raise ConfigurationError("operation requires a single-domain lattice")
@@ -200,12 +196,6 @@ class ComplexMatrix:
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
-
-    def to_csv(self, path):
-        """Row-major CSV dump with re,im column pairs."""
-        from .serialization import matrix_to_csv
-
-        return matrix_to_csv(path, self.matrix)
 
 
 def bloch_hamiltonian(k: float, spec: LatticeSpec, units: str = "J") -> ComplexMatrix:

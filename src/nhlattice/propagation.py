@@ -22,15 +22,19 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ConfigurationError, StepSizeError
-from .lattice import (
-    SITES_PER_CELL,
-    LatticeSpec,
-    bloch_hamiltonian,
-    real_space_hamiltonian,
-)
+from .lattice import SITES_PER_CELL, LatticeSpec, real_space_hamiltonian
+from .spectral import eig_full
 
 #: Fixed-step stability bound: dz <= STABILITY_FACTOR / ||M||_2.
 STABILITY_FACTOR = 0.1
+
+#: Largest eigenvalue condition number of the generator that the expm path
+#: propagates through its eigenbasis; above it the generator counts as
+#: near-defective and scaling-and-squaring steps are used. Rounding splits an
+#: exact double eigenvalue into a pair whose condition number reads about
+#: 1/sqrt(machine epsilon), 5e7-8e7 for a 2 x 2 block, so the bound sits well
+#: below that; the generators of the bundled configs read at most about 32.
+EIGENBASIS_MAX_COND = 1e6
 
 #: z samples per block of the expm product. Blocks that start at multiples
 #: of a fixed power of two keep the BLAS product bit-identical to one product
@@ -125,14 +129,6 @@ class FieldEvolution:
             raise ConfigurationError(f"site {site} out of range")
         return self.z_grid, _intensity(self.amplitudes[:, site - 1])
 
-    @classmethod
-    def from_intensity(cls, z_grid, intensities, spec) -> "FieldEvolution":
-        return cls(
-            z_grid=np.asarray(z_grid, dtype=float),
-            amplitudes=np.asarray(intensities, dtype=float),
-            spec=spec,
-        )
-
 
 def coupled_mode_matrix(spec: LatticeSpec) -> np.ndarray:
     """Propagation matrix M with absorption as Im(beta_j) >= 0, in 1/um."""
@@ -188,10 +184,9 @@ def _expm_evolution(
     ``_Z_BLOCK`` + 1 columns of mode factors exp(i w z) * coeff at a time.
     The near-defective fallback holds the output and one propagator step.
     """
-    w, v = np.linalg.eig(m_rot)
-    vl_norm = np.linalg.norm(np.linalg.inv(v), axis=1)
-    cond = np.max(vl_norm * np.linalg.norm(v, axis=0))
-    if cond > 1e8:
+    spectrum = eig_full(m_rot)
+    w, v = spectrum.eigenvalues, spectrum.right_vectors
+    if spectrum.condition_numbers.max() > EIGENBASIS_MAX_COND:
         # near-defective generator: fall back to scaling-and-squaring steps
         step = sla.expm(1j * m_rot * dz)
         out = _mapped_empty((z.size, a0.size))
@@ -263,87 +258,3 @@ def propagate(
 
     amps *= np.exp(1j * spec.re_beta * z)[:, None]
     return FieldEvolution(z_grid=z, amplitudes=amps, spec=spec)
-
-
-def center_of_mass(field: FieldEvolution) -> np.ndarray:
-    """Intensity-weighted transverse position x_com(z); columns (z, x_com).
-
-    The trace is truncated at the first z where the total intensity
-    underflows below 1e-300.
-    """
-    intens = field.intensities()
-    x = field.spec.site_positions()
-    totals = intens.sum(axis=1)
-    keep = totals >= 1e-300
-    if not np.all(keep):
-        cut = int(np.argmin(keep))
-        intens, totals = intens[:cut], totals[:cut]
-        z = field.z_grid[:cut]
-    else:
-        z = field.z_grid
-    com = (intens * x[None, :]).sum(axis=1) / totals
-    return np.column_stack([z, com])
-
-
-@dataclass(frozen=True)
-class BeatingResult:
-    """Spectral beating prediction against the simulated revival."""
-
-    predicted_period: float
-    simulated_period: Optional[float]
-    beating: bool
-
-
-def _band_mean_splitting(spec: LatticeSpec, n_k: int = 256) -> float:
-    """Difference of the k-averaged Re E between upper and lower doublets, 1/um."""
-    ks = np.arange(n_k) * (np.pi / (2.0 * spec.spacing_d)) / n_k
-    lo, up = [], []
-    for k in ks:
-        re = np.sort(np.linalg.eigvals(bloch_hamiltonian(k, spec, units="1/um").matrix).real)
-        lo.extend(re[:2])
-        up.extend(re[2:])
-    return float(np.mean(up) - np.mean(lo))
-
-
-def beating_period(
-    spec: LatticeSpec,
-    exc: Excitation,
-    z_max: float = 150.0,
-    dz: float = DEFAULT_DZ,
-) -> BeatingResult:
-    """Predict the bulk beating period 2*pi/dk_z and measure the revival.
-
-    The prediction uses the difference of the band-mean Re E of the two
-    Bloch doublets. The measured period is the first local maximum of the
-    decay-detrended intensity at the excited site; if none exists within
-    ``z_max`` the result is flagged as non-beating (the edge-state case).
-    """
-    dkz = _band_mean_splitting(spec)
-    predicted = 2.0 * np.pi / dkz if dkz > 0 else np.inf
-
-    field = propagate(spec, exc, z_max=z_max, dz=dz, method="expm")
-    z, intens = field.site_trace(exc.site)
-    # detrend with a crude single-range log-linear fit
-    mask = (z >= min(4.0, 0.1 * z_max)) & (intens > 0)
-    design = np.vstack([z[mask], np.ones(mask.sum())]).T
-    coef, *_ = np.linalg.lstsq(design, np.log(intens[mask]), rcond=None)
-    detrended = intens / np.exp(coef[1] + coef[0] * z)
-
-    # a revival needs a deep dip first: wait until the detrended trace has
-    # dropped to half its start, then take the first turning min and the
-    # first turning max after it
-    dropped = np.nonzero(detrended < 0.5 * detrended[0])[0]
-    if dropped.size == 0:
-        return BeatingResult(predicted, None, False)
-    diff = np.diff(detrended)
-    rising = np.nonzero(diff[dropped[0] :] > 0)[0]
-    if rising.size == 0:
-        return BeatingResult(predicted, None, False)
-    i_min = int(dropped[0] + rising[0])
-    falling = np.nonzero(diff[i_min:] < 0)[0]
-    if falling.size == 0:
-        return BeatingResult(predicted, None, False)
-    i_max = int(i_min + falling[0])
-    if i_max >= z.size - 1 or detrended[i_max] < 1.5 * detrended[i_min]:
-        return BeatingResult(predicted, None, False)
-    return BeatingResult(predicted, float(z[i_max]), True)

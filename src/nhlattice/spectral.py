@@ -1,4 +1,4 @@
-"""Complex eigenproblems: left/right pairs, zero modes, exceptional-point sweeps."""
+"""Complex-symmetric eigenproblems: c-product pairs, zero modes, exceptional-point sweeps."""
 
 from __future__ import annotations
 
@@ -7,14 +7,8 @@ from dataclasses import dataclass, replace
 from typing import Sequence, Tuple, Union
 
 import numpy as np
-import scipy.linalg as sla
 
-from .errors import (
-    ConfigurationError,
-    DefectiveMatrixError,
-    ModeTrackingError,
-    NumericalError,
-)
+from .errors import ConfigurationError, ModeTrackingError, NumericalError
 from .lattice import (
     SITES_PER_CELL,
     ComplexMatrix,
@@ -23,8 +17,6 @@ from .lattice import (
 )
 
 RESIDUAL_RTOL = 1e-9
-BIORTHO_TOL = 1e-8
-DEFECTIVE_COND = 1e8
 
 #: Zero-mode detection threshold, units of J.
 ZERO_MODE_TOL = 1e-6
@@ -36,44 +28,57 @@ def _as_matrix(h: Union[ComplexMatrix, np.ndarray]) -> np.ndarray:
     return np.asarray(h, dtype=complex)
 
 
+def _c_products(vectors: np.ndarray) -> np.ndarray:
+    """r_n^T r_n for every column (no conjugation)."""
+    return np.einsum("ij,ij->j", vectors, vectors)
+
+
 @dataclass(frozen=True)
 class ComplexSpectrum:
-    """Eigendecomposition with paired left and right eigenvectors.
+    """Eigendecomposition of a complex-symmetric matrix (H = H^T).
 
-    ``right_vectors[:, n]`` and ``left_vectors[:, n]`` belong to
-    ``eigenvalues[n]``; the left vectors are eigenvectors of the conjugate
-    transpose with conjugated eigenvalues. ``condition_numbers[n]`` is
-    ``1/|<l_n|r_n>|`` for unit-norm vectors, the eigenvalue condition number.
+    ``right_vectors[:, n]`` has unit norm and belongs to ``eigenvalues[n]``.
+    For H = H^T the left eigenvectors are the conjugated right ones, and the
+    pairs are orthogonal in the c-product r_m^T r_n, which vanishes for m = n
+    at an exceptional point. ``condition_numbers[n]`` is the eigenvalue
+    condition number ||r_n||^2 / |r_n^T r_n|.
     """
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
-    left_vectors: np.ndarray
-    biorthonormal: bool
     condition_numbers: np.ndarray
 
     @property
     def dimension(self) -> int:
         return self.eigenvalues.shape[0]
 
+    @property
+    def left_vectors(self) -> np.ndarray:
+        """conj(r_n / (r_n^T r_n)): eigenvectors of H^dagger with conjugated
+        eigenvalues, scaled so that <l_m|r_n> = delta_mn."""
+        r = self.right_vectors
+        return np.conj(r / _c_products(r))
+
 
 def eig_full(h: Union[ComplexMatrix, np.ndarray]) -> ComplexSpectrum:
-    """Dense decomposition of a general complex matrix.
+    """Dense decomposition of a complex-symmetric matrix.
 
-    Left and right vectors come from a single Schur-based solve, so the
-    pairing is consistent even for clustered eigenvalues. Raises
-    :class:`NumericalError` if residuals or the eigenvalue sum violate their
-    bounds; near-defective pairs are only flagged through large condition
-    numbers.
+    Every chain the package builds is complex symmetric: tridiagonal, with
+    real hopping and complex on-site terms. Only right vectors are solved
+    for; the condition numbers come from the c-product. Raises
+    :class:`ConfigurationError` for a matrix that is not square, finite and
+    exactly symmetric, and :class:`NumericalError` if residuals or the
+    eigenvalue sum violate their bounds; near-defective pairs are only
+    flagged through large condition numbers.
     """
     m = _as_matrix(h)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ConfigurationError("eig_full requires a square matrix")
     if not np.all(np.isfinite(m)):
         raise ConfigurationError("matrix entries must be finite")
-    w, vl, vr = sla.eig(m, left=True, right=True)
-    vr = vr / np.linalg.norm(vr, axis=0)
-    vl = vl / np.linalg.norm(vl, axis=0)
+    if not np.array_equal(m, m.T):
+        raise ConfigurationError("eig_full requires a complex-symmetric matrix (H = H^T)")
+    w, vr = np.linalg.eig(m)
 
     norm = np.linalg.norm(m)
     resid = np.linalg.norm(m @ vr - vr * w, axis=0)
@@ -90,47 +95,9 @@ def eig_full(h: Union[ComplexMatrix, np.ndarray]) -> ComplexSpectrum:
             {"sum": complex(w.sum()), "trace": complex(trace)},
         )
 
-    overlaps = np.abs(np.einsum("ij,ij->j", vl.conj(), vr))
     with np.errstate(divide="ignore"):
-        cond = np.where(overlaps > 0, 1.0 / overlaps, np.inf)
-    return ComplexSpectrum(
-        eigenvalues=w,
-        right_vectors=vr,
-        left_vectors=vl,
-        biorthonormal=False,
-        condition_numbers=cond,
-    )
-
-
-def biorthonormalize(
-    spectrum: ComplexSpectrum, cond_threshold: float = DEFECTIVE_COND
-) -> ComplexSpectrum:
-    """Rescale left vectors so that <l_m|r_n> = delta_mn.
-
-    Right vectors keep unit norm. Raises :class:`DefectiveMatrixError` when
-    any pair's condition number exceeds ``cond_threshold`` (the expected
-    failure mode at an exceptional point).
-    """
-    bad = spectrum.condition_numbers > cond_threshold
-    if np.any(bad):
-        raise DefectiveMatrixError(
-            "eigenpairs too close to defective to biorthonormalize",
-            {
-                "indices": np.nonzero(bad)[0].tolist(),
-                "condition_numbers": spectrum.condition_numbers[bad].tolist(),
-            },
-        )
-    overlap = spectrum.left_vectors.conj().T @ spectrum.right_vectors
-    # solve instead of inverting: left_new^dag = overlap^-1 left^dag
-    left_new = np.linalg.solve(overlap, spectrum.left_vectors.conj().T).conj().T
-    check = left_new.conj().T @ spectrum.right_vectors - np.eye(spectrum.dimension)
-    err = np.abs(check).max()
-    if err > BIORTHO_TOL:
-        raise NumericalError(
-            "biorthonormalization residual exceeds tolerance",
-            {"residual": float(err), "tolerance": BIORTHO_TOL},
-        )
-    return replace(spectrum, left_vectors=left_new, biorthonormal=True)
+        cond = np.linalg.norm(vr, axis=0) ** 2 / np.abs(_c_products(vr))
+    return ComplexSpectrum(eigenvalues=w, right_vectors=vr, condition_numbers=cond)
 
 
 @dataclass(frozen=True)

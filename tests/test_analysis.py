@@ -45,8 +45,8 @@ def edge_field_iii():
 class TestMomentumSpectrum:
     def test_requires_phases(self):
         spec = lattice(LossPattern.lossless(), n_sites=8)
-        field = FieldEvolution.from_intensity(
-            np.arange(100) * 0.01, np.ones((100, 8)), spec
+        field = FieldEvolution(
+            z_grid=np.arange(100) * 0.01, amplitudes=np.ones((100, 8)), spec=spec
         )
         with pytest.raises(PhaseRequiredError):
             momentum_spectrum(field)
