@@ -329,11 +329,26 @@ def build_lattice(lat: dict, derived: dict) -> LatticeSpec:
 # runners: (checked config, output directory, derived) -> (summary, outputs)
 
 
+#: Re E values closer than this share of ||H|| count as equal in the row
+#: order of ``spectrum.csv``, which then goes by Im E.
+SPECTRUM_ORDER_RTOL = 1e-12
+
+
+def _spectrum_order(eigenvalues: np.ndarray, tol: float) -> np.ndarray:
+    """Indices by ascending Re E, runs of Re E within ``tol`` of their
+    neighbour by ascending Im E, so a rounding change cannot swap the
+    equal-Re pairs of a phase-II chain."""
+    order = np.argsort(eigenvalues.real, kind="stable")
+    run = np.concatenate([[0], np.cumsum(np.diff(eigenvalues.real[order]) > tol)])
+    return order[np.lexsort((eigenvalues.imag[order], run))]
+
+
 def _run_spectrum(c, out_dir: Path, derived: dict):
     spec = build_lattice(c["lattice"], derived)
     params = c["params"]
-    result = spectral.eig_full(real_space_hamiltonian(spec))
-    order = np.argsort(result.eigenvalues.real, kind="stable")
+    h = real_space_hamiltonian(spec).matrix
+    result = spectral.eig_full(h)
+    order = _spectrum_order(result.eigenvalues, SPECTRUM_ORDER_RTOL * np.linalg.norm(h))
     rows = [
         (int(rank), result.eigenvalues[i].real, result.eigenvalues[i].imag,
          result.condition_numbers[i])
@@ -488,17 +503,15 @@ def _run_ep_sweep(c, out_dir: Path, derived: dict):
     spec = build_lattice(c["lattice"], derived)
     params = c["params"]
     res = spectral.ep_sweep(spec, _scan(params["j_min"], params["j_max"], params["j_step"]))
-    rows = [
-        (res.J_values[i],
-         res.pair_eigenvalues[i, 0].real, res.pair_eigenvalues[i, 0].imag,
-         res.pair_eigenvalues[i, 1].real, res.pair_eigenvalues[i, 1].imag,
-         res.edge_pair_separation[i])
-        for i in range(res.J_values.size)
-    ]
+    pair = res.pair_eigenvalues
+    table = np.column_stack([
+        res.J_values, pair[:, 0].real, pair[:, 0].imag, pair[:, 1].real, pair[:, 1].imag,
+        res.edge_pair_separation,
+    ])
     outputs = [serialization.write_csv(
         out_dir / "ep_sweep.csv",
         ["J", "ReE_a", "ImE_a", "ReE_b", "ImE_b", "separation"],
-        rows,
+        table,
     )]
     derived["J_ep_estimate"] = res.J_ep_estimate
     summary = {

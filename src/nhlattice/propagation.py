@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
@@ -23,7 +24,7 @@ import scipy.linalg as sla
 
 from .errors import ConfigurationError, StepSizeError
 from .lattice import SITES_PER_CELL, LatticeSpec, real_space_hamiltonian
-from .spectral import eig_full
+from .spectral import eig_full, tridiagonal_apply
 
 #: Fixed-step stability bound: dz <= STABILITY_FACTOR / ||M||_2.
 STABILITY_FACTOR = 0.1
@@ -154,14 +155,18 @@ def _rk4(m_rot: np.ndarray, a0: np.ndarray, n_steps: int, dz: float) -> np.ndarr
     out = _mapped_empty((n_steps + 1, a0.size))
     out[0] = a0
     a = a0
-    gen = 1j * m_rot
+    # the chain's generator i*M is tridiagonal, so each stage applies the
+    # three-term stencil of its diagonal and off-diagonals, not a dense product
+    gen = partial(
+        tridiagonal_apply, 1j * m_rot.diagonal(), 1j * m_rot.diagonal(1), 1j * m_rot.diagonal(-1)
+    )
     lossy = np.all(m_rot.imag.diagonal() >= -1e-15)
     total_prev = float(np.vdot(a, a).real)
     for n in range(n_steps):
-        k1 = gen @ a
-        k2 = gen @ (a + 0.5 * dz * k1)
-        k3 = gen @ (a + 0.5 * dz * k2)
-        k4 = gen @ (a + dz * k3)
+        k1 = gen(a)
+        k2 = gen(a + 0.5 * dz * k1)
+        k3 = gen(a + 0.5 * dz * k2)
+        k4 = gen(a + dz * k3)
         a = a + (dz / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[n + 1] = a
         if lossy:

@@ -217,6 +217,114 @@ def _scaled_interface(spec: LatticeSpec, hopping_J: float) -> LatticeSpec:
     return replace(spec, hopping_J=hopping_J, pattern=tuple(domains))
 
 
+#: Rayleigh-quotient steps per tracked mode and J before ``ep_sweep`` falls
+#: back to ``eig_full``.
+RQI_MAX_STEPS = 8
+
+#: The iteration stops once its residual is below this share of ||H||.
+RQI_STOP_RTOL = 1e-14
+
+#: Largest share of the first-order step |lambda_pred - lambda_prev| by which
+#: a tracked eigenvalue may miss its prediction. Near a coalescence the pair
+#: moves like a square root of J and fails this check.
+PREDICTOR_RTOL = 0.1
+
+#: Rounding floor, in units of ||H||, of the predictor check and of the
+#: separation that makes the two tracked modes distinct.
+ROUNDING_RTOL = 1e-13
+
+
+def tridiagonal_apply(
+    diag: np.ndarray, upper: np.ndarray, lower: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """A x for the tridiagonal A with the given diagonal and off-diagonals,
+    as a three-term stencil."""
+    ax = diag * x
+    ax[:-1] += upper * x[1:]
+    ax[1:] += lower * x[:-1]
+    return ax
+
+
+def _rayleigh_quotient_iteration(d, e, shift, x, stop):
+    """c-product Rayleigh-quotient iteration from (shift, x) on the complex
+    symmetric tridiagonal matrix (d, e); every shifted solve is a
+    tridiagonal LU. Runs until the residual is below ``stop`` or stops
+    shrinking.
+
+    Returns (eigenvalue, unit eigenvector, residual norm), or None when a
+    shift is exactly singular or a vector turns self-orthogonal.
+    """
+    from scipy.linalg.lapack import zgttrf, zgttrs
+
+    resid = np.inf
+    for _ in range(RQI_MAX_STEPS):
+        *lu, info = zgttrf(e, d - shift, e)
+        if info != 0:
+            return None
+        y, info = zgttrs(*lu, x)
+        y = y / np.abs(y).max()  # a nearly singular shift makes y huge
+        x = y / np.linalg.norm(y)
+        hx = tridiagonal_apply(d, e, e, x)
+        xx = x @ x
+        if xx == 0:
+            return None
+        shift = (x @ hx) / xx
+        last, resid = resid, np.linalg.norm(hx - shift * x)
+        if resid <= stop or resid > 0.5 * last:
+            break
+    return shift, x, resid
+
+
+def _joint_overlap_pair(prev_pair: np.ndarray, vr: np.ndarray, J: float, overlap_min: float):
+    """Columns of ``vr`` continuing the two columns of ``prev_pair``."""
+    ov = np.abs(prev_pair.conj().T @ vr)  # (2, n): rows old, cols new
+    order0 = np.argsort(ov[0])[::-1]
+    order1 = np.argsort(ov[1])[::-1]
+    a, b = int(order0[0]), int(order1[0])
+    if a == b:
+        # both prefer the same column: resolve by best joint overlap
+        if ov[0, order0[0]] * ov[1, order1[1]] >= ov[0, order0[1]] * ov[1, order1[0]]:
+            b = int(order1[1])
+        else:
+            a = int(order0[1])
+    lo = min(ov[0, a], ov[1, b])
+    if lo < overlap_min:
+        raise ModeTrackingError(
+            "mode continuation overlap dropped below threshold",
+            {"J": float(J), "overlap": float(lo), "threshold": overlap_min},
+        )
+    return [a, b]
+
+
+def _track_pair(d, e, dd, de, prev_eigs, prev_pair, overlap_min):
+    """The tracked pair continued to the tridiagonal matrix (d, e), a step
+    (dd, de) away from the previous one, as (eigenvalues, (n, 2) unit
+    vectors); None when any check of ``ep_sweep`` fails."""
+    norm = math.hypot(np.linalg.norm(d), math.sqrt(2.0) * np.linalg.norm(e))
+    floor = ROUNDING_RTOL * norm
+    eigs = np.empty(2, dtype=complex)
+    vecs = np.empty_like(prev_pair)
+    for k in range(2):
+        r = prev_pair[:, k]
+        rr = r @ r
+        if rr == 0:
+            return None
+        step = (r @ tridiagonal_apply(dd, de, de, r)) / rr
+        pred = prev_eigs[k] + step
+        found = _rayleigh_quotient_iteration(d, e, pred, r, RQI_STOP_RTOL * norm)
+        if found is None:
+            return None
+        lam, x, resid = found
+        if (resid > RESIDUAL_RTOL * norm
+                or abs(lam - pred) > PREDICTOR_RTOL * abs(step) + floor
+                or abs(np.vdot(r, x)) < overlap_min):
+            return None
+        eigs[k], vecs[:, k] = lam, x
+    if abs(eigs[0] - eigs[1]) <= floor:
+        return None
+    return eigs, vecs
+
+
 def ep_sweep(
     base: LatticeSpec,
     J_range: Sequence[float],
@@ -226,11 +334,21 @@ def ep_sweep(
     modes through their coalescence.
 
     Every site's beta of ``base`` is held constant, so the dimensionless
-    loss of each domain shrinks as J grows. At the smallest J the two
-    modes with the largest weight on the interface cell and the outer cell of
-    the second domain are selected; afterwards they are continued by maximal
-    eigenvector overlap. The estimate ``J_ep`` is the separation minimum of
-    the scan, flagged when it sits at either end of the scan.
+    loss of each domain shrinks as J grows. At the smallest J a full
+    ``eig_full`` selects the two modes with the largest weight on the
+    interface cell and the outer cell of the second domain. At each later J
+    every tracked mode r is first predicted to first order,
+    lambda_pred = lambda_prev + r^T dH r / r^T r, and then refined by a
+    c-product Rayleigh-quotient iteration from (lambda_pred, r) with
+    tridiagonal solves. The pair is kept if each residual is within
+    ``RESIDUAL_RTOL * ||H||``, each eigenvalue lies within ``PREDICTOR_RTOL``
+    of its predicted step (plus a rounding floor), the two modes are
+    distinct, no shift was exactly singular and each vector overlaps its
+    predecessor by at least ``overlap_min``. Otherwise, as near a
+    coalescence, ``eig_full`` runs at that J and the pair is continued by
+    maximal joint eigenvector overlap, raising :class:`ModeTrackingError`
+    below ``overlap_min``. The estimate ``J_ep`` is the separation minimum
+    of the scan, flagged when it sits at either end of the scan.
     """
     if base.is_uniform or base.interface_index is None:
         raise ConfigurationError("ep_sweep requires an interface lattice")
@@ -244,34 +362,31 @@ def ep_sweep(
 
     pair_eigs = np.empty((J_values.size, 2), dtype=complex)
     conds = np.empty((J_values.size, 2))
-    prev_pair = None  # (n, 2) tracked eigenvector columns from the previous J
+    prev_pair = None  # (n, 2) tracked unit eigenvectors from the previous J
+    prev_d = prev_e = None
     for idx, J in enumerate(J_values):
-        spec = eig_full(real_space_hamiltonian(_scaled_interface(base, J)))
-        vr = spec.right_vectors
-        if prev_pair is None:
-            weight = (np.abs(vr[sel_sites, :]) ** 2).sum(axis=0)
-            pair_idx = [int(i) for i in np.argsort(weight)[-2:]]
+        h = real_space_hamiltonian(_scaled_interface(base, J)).matrix
+        d, e = h.diagonal(), h.diagonal(1)
+        tracked = None
+        if prev_pair is not None:
+            tracked = _track_pair(
+                d, e, d - prev_d, e - prev_e, pair_eigs[idx - 1], prev_pair, overlap_min
+            )
+        if tracked is not None:
+            pair_eigs[idx], prev_pair = tracked
+            conds[idx] = 1.0 / np.abs(_c_products(prev_pair))  # unit vectors
         else:
-            ov = np.abs(prev_pair.conj().T @ vr)  # (2, n): rows old, cols new
-            order0 = np.argsort(ov[0])[::-1]
-            order1 = np.argsort(ov[1])[::-1]
-            a, b = int(order0[0]), int(order1[0])
-            if a == b:
-                # both prefer the same column: resolve by best joint overlap
-                if ov[0, order0[0]] * ov[1, order1[1]] >= ov[0, order0[1]] * ov[1, order1[0]]:
-                    b = int(order1[1])
-                else:
-                    a = int(order0[1])
-            lo = min(ov[0, a], ov[1, b])
-            if lo < overlap_min:
-                raise ModeTrackingError(
-                    "mode continuation overlap dropped below threshold",
-                    {"J": float(J), "overlap": float(lo), "threshold": overlap_min},
-                )
-            pair_idx = [a, b]
-        prev_pair = vr[:, pair_idx]
-        pair_eigs[idx] = spec.eigenvalues[pair_idx]
-        conds[idx] = spec.condition_numbers[pair_idx]
+            spec = eig_full(h)
+            vr = spec.right_vectors
+            if prev_pair is None:
+                weight = (np.abs(vr[sel_sites, :]) ** 2).sum(axis=0)
+                pair_idx = [int(i) for i in np.argsort(weight)[-2:]]
+            else:
+                pair_idx = _joint_overlap_pair(prev_pair, vr, J, overlap_min)
+            prev_pair = vr[:, pair_idx]
+            pair_eigs[idx] = spec.eigenvalues[pair_idx]
+            conds[idx] = spec.condition_numbers[pair_idx]
+        prev_d, prev_e = d, e
 
     separation = np.abs(pair_eigs[:, 0] - pair_eigs[:, 1])
     i_min = int(np.argmin(separation))

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nhlattice.cli import main
+from nhlattice.cli import SPECTRUM_ORDER_RTOL, _spectrum_order, main
+from nhlattice.lattice import LatticeSpec, LossPattern, real_space_hamiltonian
+from nhlattice.spectral import eig_full
 
 FIGS = sorted(Path(__file__).resolve().parents[1].glob("configs/figs/*.json"))
 
@@ -458,3 +460,21 @@ class TestRunTypes:
         record = json.loads((tmp_path / "out" / "fit.json").read_text())
         assert record["fit"] == "decay"
         assert record["ell"] > 0
+
+
+class TestSpectrumOrder:
+    def test_rounding_perturbation_keeps_row_order(self):
+        # fig1b point_000: half of this phase-II spectrum sits in pairs of equal Re E
+        spec = LatticeSpec(n_sites=40, hopping_J=0.045, spacing_d=1.4,
+                           pattern=LossPattern.from_g(1.1, 1.1, -1.1), re_beta=0.0)
+        h = real_space_hamiltonian(spec).matrix
+        w = eig_full(h).eigenvalues
+        norm = np.linalg.norm(h)
+        order = _spectrum_order(w, SPECTRUM_ORDER_RTOL * norm)
+        re = np.sort(w.real)
+        assert np.count_nonzero(np.diff(re) <= SPECTRUM_ORDER_RTOL * norm) >= 10
+        assert np.all(np.diff(w.real[order]) >= -SPECTRUM_ORDER_RTOL * norm)
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            kick = 1e-13 * norm * (rng.uniform(-1, 1, w.size) + 1j * rng.uniform(-1, 1, w.size))
+            assert np.array_equal(_spectrum_order(w + kick, SPECTRUM_ORDER_RTOL * norm), order)

@@ -7,6 +7,7 @@ from nhlattice.errors import ConfigurationError, StepSizeError
 from nhlattice.lattice import LatticeSpec, LossPattern, interface_lattice
 from nhlattice.propagation import (
     EIGENBASIS_MAX_COND,
+    STABILITY_FACTOR,
     Excitation,
     FieldEvolution,
     _expm_evolution,
@@ -230,3 +231,34 @@ class TestLossyPropagation:
         exc = Excitation.resolve("site_index", spec, site=min(site, spec.n_sites))
         totals = propagate(spec, exc, z_max=20.0, dz=0.1).intensities().sum(axis=1)
         assert np.all(totals[1:] <= totals[:-1] * (1.0 + 1e-12))
+
+
+def dense_rk4(m_rot, a0, n_steps, dz):
+    """Classical rk4 with the generator applied as a dense matrix."""
+    gen = 1j * m_rot
+    out = [a0]
+    a = a0
+    for _ in range(n_steps):
+        k1 = gen @ a
+        k2 = gen @ (a + 0.5 * dz * k1)
+        k3 = gen @ (a + 0.5 * dz * k2)
+        k4 = gen @ (a + dz * k3)
+        a = a + (dz / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(a)
+    return np.array(out)
+
+
+class TestRk4Stencil:
+    @settings(deadline=None, max_examples=6)
+    @given(
+        left=lossy_patterns, right=lossy_patterns,
+        n_left=st.integers(1, 6), n_right=st.integers(1, 6), site=st.integers(1, 48),
+    )
+    def test_matches_dense_rk4(self, left, right, n_left, n_right, site):
+        spec = interface_lattice(left, right, n_left, n_right, lattice(LossPattern.lossless(), n_sites=4))
+        m_rot = coupled_mode_matrix(spec)
+        dz = STABILITY_FACTOR / np.linalg.norm(m_rot, 2)
+        a0 = np.zeros(spec.n_sites, dtype=complex)
+        a0[min(site, spec.n_sites) - 1] = 1.0
+        ref = dense_rk4(m_rot, a0, 300, dz)
+        assert np.abs(_rk4(m_rot, a0, 300, dz) - ref).max() <= 1e-14 * np.abs(ref).max()

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from nhlattice.errors import ConfigurationError
+from nhlattice import spectral
+from nhlattice.errors import ConfigurationError, ModeTrackingError
 from nhlattice.lattice import (
     LatticeSpec,
     LossPattern,
@@ -16,6 +17,7 @@ from nhlattice.lattice import (
 from nhlattice.spectral import (
     eig_full,
     ep_sweep,
+    _rayleigh_quotient_iteration,
     _scaled_interface,
     find_zero_modes,
 )
@@ -269,6 +271,106 @@ class TestZeroModes:
         assert len(report) == 2
 
 
+def reference_sweep(base, J_values, overlap_min=0.5):
+    """The tracked pair from an eig_full at every J, continued by maximal
+    joint eigenvector overlap. Returns (pair eigenvalues (n_J, 2), the
+    larger condition number of each pair, ||H|| at each J, whether a
+    continuation was a tie). A tie, two columns overlapping a tracked mode
+    equally, happens where the mode has passed a coalescence with an
+    untracked one; rounding then picks the branch."""
+    if0 = base.interface_index - 1
+    sel = list(range(if0, min(if0 + 4, base.n_sites))) + list(range(base.n_sites - 4, base.n_sites))
+    pairs, conds, norms, prev, tie = [], [], [], None, False
+    for j_hop in J_values:
+        h = real_space_hamiltonian(_scaled_interface(base, j_hop)).matrix
+        spec = eig_full(h)
+        vr = spec.right_vectors
+        if prev is None:
+            idx = list(np.argsort((np.abs(vr[sel]) ** 2).sum(axis=0))[-2:])
+        else:
+            ov = np.abs(prev.conj().T @ vr)
+            o0, o1 = np.argsort(ov[0])[::-1], np.argsort(ov[1])[::-1]
+            tie |= any(abs(o[k[0]] - o[k[1]]) <= 1e-9 for o, k in ((ov[0], o0), (ov[1], o1)))
+            a, b = o0[0], o1[0]
+            if a == b:
+                if ov[0, o0[0]] * ov[1, o1[1]] >= ov[0, o0[1]] * ov[1, o1[0]]:
+                    b = o1[1]
+                else:
+                    a = o0[1]
+            if min(ov[0, a], ov[1, b]) < overlap_min:
+                raise ModeTrackingError("reference lost the pair", {"J": j_hop})
+            idx = [a, b]
+        prev = vr[:, idx]
+        pairs.append(spec.eigenvalues[idx])
+        conds.append(spec.condition_numbers[idx].max())
+        norms.append(np.linalg.norm(h))
+    return np.array(pairs), np.array(conds), np.array(norms), tie
+
+
+def assert_matches_reference(res, pairs, conds, norms):
+    # same column labels: each tracked mode matches its own reference column
+    assert np.all(np.abs(res.pair_eigenvalues - pairs) <= 1e-12 * norms[:, None])
+    i_min = int(np.argmin(np.abs(pairs[:, 0] - pairs[:, 1])))
+    assert res.J_ep_estimate == res.J_values[i_min]
+    assert res.J_ep_at_scan_edge == (i_min in (0, res.J_values.size - 1))
+    assert res.coalescence_condition == pytest.approx(conds[i_min], rel=1e-8)
+
+
+im_betas = st.floats(0.05, 0.15)
+g_values = st.floats(0.2, 2.5)
+
+
+def ii_iii_domains(im_beta, flip):
+    """(left, right) phase II and III domains at one im_beta, at J = 0.045."""
+    g = im_beta / (2 * J)
+    pair = (LossPattern.trivial(g), LossPattern.topological(g))
+    return pair[::-1] if flip else pair
+
+
+symmetric_domains = st.builds(ii_iii_domains, im_betas, st.booleans())
+asymmetric_domains = st.builds(
+    lambda g0, g1, g2: (LossPattern.from_g(g0, g1, -g2), LossPattern.from_g(g0, g1, g2)),
+    st.floats(0.0, 2.5), g_values, g_values,
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestEPSweepTracking:
+    """Rayleigh-quotient tracking against an eig_full at every J."""
+
+    @settings(deadline=None, max_examples=6)
+    @given(domains=st.one_of(symmetric_domains, asymmetric_domains))
+    def test_matches_eig_full_at_every_J(self, domains):
+        base = interface_lattice(*domains, 6, 6, lattice(LossPattern.lossless(), n_sites=4))
+        J_values = np.arange(0.04, 0.12001, 0.002)
+        try:
+            pairs, conds, norms, tie = reference_sweep(base, J_values)
+        except ModeTrackingError:
+            with pytest.raises(ModeTrackingError):
+                ep_sweep(base, J_values)
+            return
+        assume(not tie)
+        assert_matches_reference(ep_sweep(base, J_values), pairs, conds, norms)
+
+    @pytest.mark.parametrize("left, right, J_values", [
+        (LossPattern.trivial(1.1111111111111112), LossPattern.topological(1.1111111111111112),
+         np.arange(0.04, 0.12001, 0.001)),
+        (LossPattern.from_g(2.0, 0.5, -1.0), LossPattern.from_g(2.0, 0.5, 1.0),
+         np.arange(0.04, 0.12001, 0.001)),
+        (LossPattern.trivial(1.1111111111111112), LossPattern.topological(1.1111111111111112),
+         np.arange(0.04, 0.06001, 0.001)),
+    ], ids=["fig4c", "asymmetric", "below-ep"])
+    def test_sweeps_match_eig_full_at_every_J(self, left, right, J_values):
+        # fig4c's sweep, the benchmark's asymmetric one, and a scan below the
+        # coalescence whose minimum, at its last J, is a tracked row
+        base = interface_lattice(
+            left, right, 6, 6, lattice(LossPattern.lossless(), n_sites=4, re_beta=6.6)
+        )
+        pairs, conds, norms, _ = reference_sweep(base, J_values)
+        assert_matches_reference(ep_sweep(base, J_values), pairs, conds, norms)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestEPSweep:
     def test_locates_exceptional_point(self):
         res = ep_sweep(ii_iii_interface(1.1111111111111112), np.arange(0.04, 0.12001, 0.001))
@@ -346,3 +448,41 @@ class TestEPSweep:
     def test_requires_interface_lattice(self):
         with pytest.raises(ConfigurationError):
             ep_sweep(lattice(LossPattern.topological(1.1)), [0.04, 0.05])
+
+    @pytest.mark.parametrize("J_values, overlap_min", [
+        ([0.04, 0.12], 0.9),
+        (np.arange(0.04, 0.06001, 0.001), 0.9999),
+    ], ids=["across-ep", "tracked-step"])
+    def test_overlap_drop_still_raises(self, J_values, overlap_min):
+        # one step across the coalescence leaves no continuation above 0.9;
+        # below it, each 0.001 step turns the tracked vectors by more than
+        # 1 - 0.9999 while predictor and residual checks pass
+        with pytest.raises(ModeTrackingError):
+            ep_sweep(ii_iii_interface(1.1111111111111112), J_values, overlap_min=overlap_min)
+
+    def test_exactly_singular_shift_falls_back(self, monkeypatch):
+        # a lossless chain without re_beta is J times a fixed matrix, so
+        # doubling J doubles every eigenvalue exactly and the predicted shift
+        # is an exact eigenvalue with an exactly singular pivot
+        base = LatticeSpec(
+            n_sites=4, hopping_J=0.5, spacing_d=D, pattern=LossPattern.lossless(), re_beta=0.0
+        )
+        iface = interface_lattice(LossPattern.lossless(), LossPattern.lossless(), 1, 1, base)
+        found = []
+        rqi = spectral._rayleigh_quotient_iteration
+        monkeypatch.setattr(
+            spectral, "_rayleigh_quotient_iteration",
+            lambda *args: found.append(rqi(*args)) or found[-1],
+        )
+        res = ep_sweep(iface, [0.5, 1.0, 2.0])
+        assert None in found
+        assert np.all(np.isfinite(res.pair_eigenvalues))
+        pairs, _, norms, _ = reference_sweep(iface, res.J_values)
+        assert np.all(np.abs(res.pair_eigenvalues - pairs) <= 1e-12 * norms[:, None])
+
+    def test_singular_shift_stops_the_iteration(self):
+        # 3-site chain [[0,1,0],[1,0,1],[0,1,0]] with eigenvalue 0
+        x = np.array([1.0, 0.0, 0.0], dtype=complex)
+        assert _rayleigh_quotient_iteration(
+            np.zeros(3, dtype=complex), np.ones(2, dtype=complex), 0.0, x, 0.0
+        ) is None

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nhlattice.topology as topology
 from nhlattice.errors import ConfigurationError, GaplessSpectrumError
@@ -70,6 +72,25 @@ class TestWindingNumber:
     def test_grid_size_floor(self):
         with pytest.raises(ConfigurationError):
             winding_number(LossPattern.topological(1.1), J, D, k_grid_size=8)
+
+
+# the Re E gap between the doublets closes when |g1| and |g2| differ by a
+# factor of about five or more, or grow large; 0.5 to 2 keeps away from that
+magnitudes = st.floats(0.5, 2.0)
+signs = st.sampled_from([-1.0, 1.0])
+gapped_patterns = st.builds(
+    lambda g0, g1, g2, s1, s2: LossPattern.from_g(g0, s1 * g1, s2 * g2),
+    st.floats(0.0, 2.5), magnitudes, magnitudes, signs, signs,
+)
+
+
+class TestWindingGridIndependence:
+    @settings(deadline=None, max_examples=10)
+    @given(pattern=gapped_patterns, sizes=st.lists(st.integers(16, 96), min_size=2, max_size=2))
+    def test_w_does_not_depend_on_k_grid_size(self, pattern, sizes):
+        w = [winding_number(pattern, J, D, k_grid_size=n).W for n in sizes]
+        assert w[0] == pytest.approx(w[1], abs=1e-8)
+        assert w[0] == pytest.approx(1.0 if pattern.g1 * pattern.g2 > 0 else 0.0, abs=1e-6)
 
 
 class TestPhaseDiagram:
