@@ -3,11 +3,11 @@
 __version__ = "0.1.0"
 
 from .lattice import (
-    ComplexMatrix,
     LatticeSpec,
     LossPattern,
     bloch_hamiltonian,
     cell_diagonal,
+    chain_matrix,
     interface_lattice,
     real_space_hamiltonian,
 )
@@ -36,11 +36,11 @@ from .calibration import CalibrationCurve, fit_curve, g2_of
 
 __all__ = [
     "__version__",
-    "ComplexMatrix",
     "LatticeSpec",
     "LossPattern",
     "bloch_hamiltonian",
     "cell_diagonal",
+    "chain_matrix",
     "interface_lattice",
     "real_space_hamiltonian",
     "ComplexSpectrum",

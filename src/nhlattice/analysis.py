@@ -12,6 +12,7 @@ from .errors import ConfigurationError, FitError, PhaseRequiredError
 from .lattice import (
     LatticeSpec,
     LossPattern,
+    chain_matrix,
     interface_lattice,
     real_space_hamiltonian,
 )
@@ -385,10 +386,9 @@ def interface_vs_defect(
 
         n = n_sites_defect
         center = n // 2
-        diag = np.full(n, -2j * g2 * J, dtype=complex)
-        diag[center] = 0.0
-        h_def = np.diag(diag) + J * (np.eye(n, k=1) + np.eye(n, k=-1))
-        spec_d = eig_full(h_def)
+        beta = np.full(n, -2j * g2 * J, dtype=complex)
+        beta[center] = 0.0
+        spec_d = eig_full(chain_matrix(beta, J))
         w_def = np.abs(spec_d.right_vectors[center, :]) ** 2
         order_d = np.argsort(w_def)[::-1]
         amb_d = w_def[order_d[1]] > 0.99 * w_def[order_d[0]]

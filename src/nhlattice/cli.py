@@ -199,6 +199,11 @@ def _check_pattern(obj, path: str) -> dict:
     pattern = _section(rest, _PATTERNS.get(phase, _TRIPLE), path)
     if phase in ("II", "III"):
         _one_loss(pattern, path)
+    if phase is None:
+        try:
+            LossPattern.from_g(pattern["g0"], pattern["g1"], pattern["g2"])
+        except ConfigurationError as exc:
+            raise ConfigError(path, str(exc)) from None
     pattern["phase"] = phase
     return pattern
 
@@ -329,26 +334,14 @@ def build_lattice(lat: dict, derived: dict) -> LatticeSpec:
 # runners: (checked config, output directory, derived) -> (summary, outputs)
 
 
-#: Re E values closer than this share of ||H|| count as equal in the row
-#: order of ``spectrum.csv``, which then goes by Im E.
-SPECTRUM_ORDER_RTOL = 1e-12
-
-
-def _spectrum_order(eigenvalues: np.ndarray, tol: float) -> np.ndarray:
-    """Indices by ascending Re E, runs of Re E within ``tol`` of their
-    neighbour by ascending Im E, so a rounding change cannot swap the
-    equal-Re pairs of a phase-II chain."""
-    order = np.argsort(eigenvalues.real, kind="stable")
-    run = np.concatenate([[0], np.cumsum(np.diff(eigenvalues.real[order]) > tol)])
-    return order[np.lexsort((eigenvalues.imag[order], run))]
-
-
 def _run_spectrum(c, out_dir: Path, derived: dict):
     spec = build_lattice(c["lattice"], derived)
     params = c["params"]
-    h = real_space_hamiltonian(spec).matrix
+    h = real_space_hamiltonian(spec)
     result = spectral.eig_full(h)
-    order = _spectrum_order(result.eigenvalues, SPECTRUM_ORDER_RTOL * np.linalg.norm(h))
+    order = spectral.spectrum_order(
+        result.eigenvalues, spectral.SPECTRUM_ORDER_RTOL * np.linalg.norm(h)
+    )
     rows = [
         (int(rank), result.eigenvalues[i].real, result.eigenvalues[i].imag,
          result.condition_numbers[i])
@@ -385,11 +378,12 @@ def _propagate_from_config(c, derived):
 
 
 def _write_field(field, out_dir: Path, save_amplitudes: bool, save_every: int):
-    keep = range(0, field.z_grid.size, save_every)
-    intens = field.intensities(slice(0, None, save_every))
+    keep = slice(0, None, save_every)
+    z = field.z_grid[keep]
     header = ["z"] + [f"site{j + 1}" for j in range(field.spec.n_sites)]
-    rows = [[field.z_grid[i]] + list(row) for i, row in zip(keep, intens)]
-    outputs = [serialization.write_csv(out_dir / "intensity.csv", header, rows)]
+    outputs = [serialization.write_csv(
+        out_dir / "intensity.csv", header, np.column_stack([z, field.intensities(keep)])
+    )]
     outputs.append(serialization.write_json(out_dir / "z_grid.json", {
         "z_min": float(field.z_grid[0]),
         "z_max": float(field.z_grid[-1]),
@@ -401,18 +395,13 @@ def _write_field(field, out_dir: Path, save_amplitudes: bool, save_every: int):
         "re_beta": float(field.spec.re_beta),
     }))
     if save_amplitudes:
-        amp_rows = []
-        for i in keep:
-            row = [field.z_grid[i]]
-            for a in field.amplitudes[i]:
-                row += [a.real, a.imag]
-            amp_rows.append(row)
         amp_header = ["z"]
         for j in range(field.spec.n_sites):
             amp_header += [f"re{j + 1}", f"im{j + 1}"]
-        outputs.append(
-            serialization.write_csv(out_dir / "amplitudes.csv", amp_header, amp_rows)
-        )
+        amps = serialization.re_im_columns(field.amplitudes[keep])
+        outputs.append(serialization.write_csv(
+            out_dir / "amplitudes.csv", amp_header, np.column_stack([z, amps])
+        ))
     return outputs
 
 
@@ -445,9 +434,8 @@ def _run_momentum(c, out_dir: Path, derived: dict):
     kz = ms.kz_grid[rows_mask]
     power = ms.power[rows_mask]
     header = ["kz\\kx"] + [serialization.fmt(v) for v in ms.kx_grid]
-    rows = [[kz[i]] + list(power[i]) for i in range(kz.size)]
     outputs = [
-        serialization.write_csv(out_dir / "power.csv", header, rows),
+        serialization.write_csv(out_dir / "power.csv", header, np.column_stack([kz, power])),
         serialization.write_json(out_dir / "axes.json", {
             "kx": ms.kx_grid, "kz": kz, "kz_window": list(kz_window),
             "window": ms.window, "pad_factor": ms.pad_factor,
@@ -489,7 +477,7 @@ def _run_symmetry(c, out_dir: Path, derived: dict):
     report_obj = {}
     summary = {}
     for case in params["cases"]:
-        rep = symmetry_mod.check_symmetries(ks, case=case, g=params["g"])
+        rep = symmetry_mod.check_symmetries(ks, case=case)
         report_obj[case] = asdict(rep)
         summary[f"class_{case}"] = rep.class_label
         summary[f"max_residual_{case}"] = max(
@@ -546,7 +534,7 @@ def _run_fit(c, out_dir: Path, derived: dict):
     site = exc.site if params["site"] == "excited" else params["site"]
     z, trace = field.site_trace(site)
     outputs = [serialization.write_csv(
-        out_dir / "trace.csv", ["z", "intensity"], zip(z, trace)
+        out_dir / "trace.csv", ["z", "intensity"], np.column_stack([z, trace])
     )]
     if params["fit"] == "decay":
         fit = analysis.fit_decay(z, trace, fit_ranges=params["fit_ranges"])
@@ -717,7 +705,6 @@ RUNS = {
             symmetry_mod.CASE_NONTRIVIAL, symmetry_mod.CASE_TRIVIAL)),
             (symmetry_mod.CASE_NONTRIVIAL, symmetry_mod.CASE_TRIVIAL)),
         "k_samples": (_int(1), 32),
-        "g": (NONNEG, 1.0),
     }),
     "ep-sweep": Run(_run_ep_sweep, "interface", False, {
         "j_min": (POS, 0.04),

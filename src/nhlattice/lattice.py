@@ -45,6 +45,8 @@ class LossPattern:
     custom_cell: Optional[Tuple[complex, complex, complex, complex]] = None
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.g0, self.g1, self.g2])):
+            raise ConfigurationError("g0, g1 and g2 must be finite")
         if self.g0 < 0:
             raise ConfigurationError(f"g0 must be >= 0, got {self.g0}")
         if self.phase == PHASE_CUSTOM:
@@ -55,6 +57,8 @@ class LossPattern:
             object.__setattr__(
                 self, "custom_cell", tuple(complex(c) for c in self.custom_cell)
             )
+            if not np.all(np.isfinite(self.custom_cell)):
+                raise ConfigurationError("custom_cell values must be finite")
             return
         if self.custom_cell is not None:
             raise ConfigurationError("custom_cell is only valid with phase='custom'")
@@ -140,6 +144,8 @@ class LatticeSpec:
     interface_index: Optional[int] = None
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.hopping_J, self.spacing_d, self.re_beta])):
+            raise ConfigurationError("hopping_J, spacing_d and re_beta must be finite")
         if self.n_sites < 1:
             raise ConfigurationError("n_sites must be >= 1")
         if self.hopping_J <= 0:
@@ -178,27 +184,7 @@ class LatticeSpec:
         return self.pattern
 
 
-@dataclass(frozen=True)
-class ComplexMatrix:
-    """A square complex matrix together with its unit convention."""
-
-    matrix: np.ndarray
-    units: str = "1/um"
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ConfigurationError(f"matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ConfigurationError("matrix entries must be finite")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-
-def bloch_hamiltonian(k: float, spec: LatticeSpec, units: str = "J") -> ComplexMatrix:
+def bloch_hamiltonian(k: float, spec: LatticeSpec, units: str = "J") -> np.ndarray:
     """4x4 Bloch matrix of the infinite lattice at wave number ``k`` (1/um).
 
     The corner entries carry the cell-periodic phases ``exp(-4ikd)`` and
@@ -220,25 +206,29 @@ def bloch_hamiltonian(k: float, spec: LatticeSpec, units: str = "J") -> ComplexM
     )
     h[np.diag_indices(4)] = cell_diagonal(pattern)
     if units == "J":
-        return ComplexMatrix(h, units="J")
+        return h
     if units == "1/um":
-        return ComplexMatrix(h * spec.hopping_J, units="1/um")
+        return h * spec.hopping_J
     raise ConfigurationError(f"unknown units {units!r}")
 
 
-def real_space_hamiltonian(spec: LatticeSpec) -> ComplexMatrix:
+def chain_matrix(beta: np.ndarray, J: float) -> np.ndarray:
+    """The open chain diag(beta) + J*T as a complex matrix, with T the 0/1
+    nearest-neighbour matrix and ``beta`` the on-site constants."""
+    h = np.diag(np.asarray(beta, dtype=complex))
+    i = np.arange(h.shape[0] - 1)
+    h[i, i + 1] = h[i + 1, i] = J
+    return h
+
+
+def real_space_hamiltonian(spec: LatticeSpec) -> np.ndarray:
     """Open-boundary chain Hamiltonian, n_sites x n_sites, in 1/um.
 
     Tridiagonal with hopping ``J`` off the diagonal and on-site constants
     ``beta_j = re_beta + J * onsite_j``. Hermitian iff the lattice is
     lossless.
     """
-    n = spec.n_sites
-    diag = spec.re_beta + spec.hopping_J * spec.onsite_values()
-    h = np.diag(diag.astype(complex))
-    off = spec.hopping_J * np.ones(n - 1)
-    h += np.diag(off, k=1) + np.diag(off, k=-1)
-    return ComplexMatrix(h, units="1/um")
+    return chain_matrix(spec.re_beta + spec.hopping_J * spec.onsite_values(), spec.hopping_J)
 
 
 def interface_lattice(

@@ -133,7 +133,7 @@ class FieldEvolution:
 
 def coupled_mode_matrix(spec: LatticeSpec) -> np.ndarray:
     """Propagation matrix M with absorption as Im(beta_j) >= 0, in 1/um."""
-    return np.conj(real_space_hamiltonian(spec).matrix)
+    return np.conj(real_space_hamiltonian(spec))
 
 
 def _mapped_empty(shape: Tuple[int, int]) -> np.ndarray:

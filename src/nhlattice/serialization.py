@@ -28,10 +28,21 @@ def fmt(value) -> str:
     return str(value)
 
 
+#: Rows of a float array that ``write_csv`` formats in one call.
+CSV_BLOCK_ROWS = 1024
+
+
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    """Header and rows as CSV; a row of real floats is formatted in one call."""
+    """Header and rows as CSV; a row of real floats is formatted in one call,
+    and a 2-D float array one block of rows at a time."""
     path = Path(path)
     lines = [",".join(header)]
+    if isinstance(rows, np.ndarray) and rows.dtype == float:
+        line = ",".join(["%.17g"] * rows.shape[1])
+        for i in range(0, rows.shape[0], CSV_BLOCK_ROWS):
+            block = rows[i:i + CSV_BLOCK_ROWS]
+            lines.append("\n".join([line] * len(block)) % tuple(block.ravel().tolist()))
+        rows = ()
     for row in rows:
         row = tuple(row)
         if all(isinstance(v, (float, np.floating)) for v in row):
@@ -74,13 +85,18 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+def re_im_columns(m: np.ndarray) -> np.ndarray:
+    """A complex matrix as a float one with columns re0, im0, re1, im1, ..."""
+    pairs = np.empty((m.shape[0], 2 * m.shape[1]))
+    pairs[:, 0::2] = m.real
+    pairs[:, 1::2] = m.imag
+    return pairs
+
+
 def matrix_to_csv(path, matrix: np.ndarray) -> Path:
     """Row-major complex matrix dump with re,im pairs per entry."""
     m = np.asarray(matrix)
     header = []
     for j in range(m.shape[1]):
         header += [f"re{j}", f"im{j}"]
-    pairs = np.empty((m.shape[0], 2 * m.shape[1]))
-    pairs[:, 0::2] = m.real
-    pairs[:, 1::2] = m.imag
-    return write_csv(path, header, pairs.tolist())
+    return write_csv(path, header, re_im_columns(m))

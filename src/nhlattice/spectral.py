@@ -3,29 +3,18 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigurationError, ModeTrackingError, NumericalError
-from .lattice import (
-    SITES_PER_CELL,
-    ComplexMatrix,
-    LatticeSpec,
-    real_space_hamiltonian,
-)
+from .lattice import SITES_PER_CELL, LatticeSpec, chain_matrix
 
 RESIDUAL_RTOL = 1e-9
 
 #: Zero-mode detection threshold, units of J.
 ZERO_MODE_TOL = 1e-6
-
-
-def _as_matrix(h: Union[ComplexMatrix, np.ndarray]) -> np.ndarray:
-    if isinstance(h, ComplexMatrix):
-        return h.matrix
-    return np.asarray(h, dtype=complex)
 
 
 def _c_products(vectors: np.ndarray) -> np.ndarray:
@@ -60,7 +49,7 @@ class ComplexSpectrum:
         return np.conj(r / _c_products(r))
 
 
-def eig_full(h: Union[ComplexMatrix, np.ndarray]) -> ComplexSpectrum:
+def eig_full(h: np.ndarray) -> ComplexSpectrum:
     """Dense decomposition of a complex-symmetric matrix.
 
     Every chain the package builds is complex symmetric: tridiagonal, with
@@ -71,7 +60,7 @@ def eig_full(h: Union[ComplexMatrix, np.ndarray]) -> ComplexSpectrum:
     eigenvalue sum violate their bounds; near-defective pairs are only
     flagged through large condition numbers.
     """
-    m = _as_matrix(h)
+    m = np.asarray(h, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ConfigurationError("eig_full requires a square matrix")
     if not np.all(np.isfinite(m)):
@@ -98,6 +87,21 @@ def eig_full(h: Union[ComplexMatrix, np.ndarray]) -> ComplexSpectrum:
     with np.errstate(divide="ignore"):
         cond = np.linalg.norm(vr, axis=0) ** 2 / np.abs(_c_products(vr))
     return ComplexSpectrum(eigenvalues=w, right_vectors=vr, condition_numbers=cond)
+
+
+#: Values closer than this share of ||H|| in the sort key count as equal in
+#: ``spectrum_order``, which then goes by the second key.
+SPECTRUM_ORDER_RTOL = 1e-12
+
+
+def spectrum_order(values: np.ndarray, tol: float) -> np.ndarray:
+    """Indices by ascending real part, runs of real parts within ``tol`` of
+    their neighbour by ascending imaginary part, so a rounding change cannot
+    swap values whose real parts are equal, such as the equal-Re E pairs of
+    a phase-II chain."""
+    order = np.argsort(values.real, kind="stable")
+    run = np.concatenate([[0], np.cumsum(np.diff(values.real[order]) > tol)])
+    return order[np.lexsort((values.imag[order], run))]
 
 
 @dataclass(frozen=True)
@@ -194,29 +198,6 @@ class EPSweepResult:
     J_ep_at_scan_edge: bool
 
 
-def _scaled_interface(spec: LatticeSpec, hopping_J: float) -> LatticeSpec:
-    """``spec`` at a new hopping J with every site's beta held fixed.
-
-    Each on-site amplitude g (units of J) of each domain, custom cells
-    included, becomes sign(g) * (2|g| J_base) / (2J); for a symmetric domain
-    that is g = Im(beta) / (2J), as the calibration defines it.
-    """
-
-    def scale(g: float) -> float:
-        return math.copysign(2.0 * abs(g) * spec.hopping_J / (2.0 * hopping_J), g)
-
-    domains = []
-    for pattern, n_cells in spec.pattern:
-        cell = pattern.custom_cell
-        if cell is not None:
-            cell = tuple(complex(scale(c.real), scale(c.imag)) for c in cell)
-        domains.append((replace(
-            pattern, g0=scale(pattern.g0), g1=scale(pattern.g1), g2=scale(pattern.g2),
-            custom_cell=cell,
-        ), n_cells))
-    return replace(spec, hopping_J=hopping_J, pattern=tuple(domains))
-
-
 #: Rayleigh-quotient steps per tracked mode and J before ``ep_sweep`` falls
 #: back to ``eig_full``.
 RQI_MAX_STEPS = 8
@@ -296,11 +277,11 @@ def _joint_overlap_pair(prev_pair: np.ndarray, vr: np.ndarray, J: float, overlap
     return [a, b]
 
 
-def _track_pair(d, e, dd, de, prev_eigs, prev_pair, overlap_min):
-    """The tracked pair continued to the tridiagonal matrix (d, e), a step
-    (dd, de) away from the previous one, as (eigenvalues, (n, 2) unit
-    vectors); None when any check of ``ep_sweep`` fails."""
-    norm = math.hypot(np.linalg.norm(d), math.sqrt(2.0) * np.linalg.norm(e))
+def _track_pair(d, e, dJ, norm, prev_eigs, prev_pair, overlap_min):
+    """The tracked pair continued to the tridiagonal matrix (d, e) of norm
+    ``norm``, whose hopping is ``dJ`` above the previous one, as
+    (eigenvalues, (n, 2) unit vectors); None when any check of ``ep_sweep``
+    fails."""
     floor = ROUNDING_RTOL * norm
     eigs = np.empty(2, dtype=complex)
     vecs = np.empty_like(prev_pair)
@@ -309,7 +290,7 @@ def _track_pair(d, e, dd, de, prev_eigs, prev_pair, overlap_min):
         rr = r @ r
         if rr == 0:
             return None
-        step = (r @ tridiagonal_apply(dd, de, de, r)) / rr
+        step = 2.0 * dJ * (r[:-1] @ r[1:]) / rr  # r^T (dJ T) r / r^T r
         pred = prev_eigs[k] + step
         found = _rayleigh_quotient_iteration(d, e, pred, r, RQI_STOP_RTOL * norm)
         if found is None:
@@ -325,6 +306,11 @@ def _track_pair(d, e, dd, de, prev_eigs, prev_pair, overlap_min):
     return eigs, vecs
 
 
+#: Interface weights within this share of the largest weight count as equal
+#: when ``ep_sweep`` picks its pair; the lower Re E then wins.
+WEIGHT_TIE_RTOL = 1e-9
+
+
 def ep_sweep(
     base: LatticeSpec,
     J_range: Sequence[float],
@@ -333,22 +319,28 @@ def ep_sweep(
     """Sweep the hopping at fixed physical loss and follow the two boundary
     modes through their coalescence.
 
-    Every site's beta of ``base`` is held constant, so the dimensionless
-    loss of each domain shrinks as J grows. At the smallest J a full
-    ``eig_full`` selects the two modes with the largest weight on the
-    interface cell and the outer cell of the second domain. At each later J
+    The on-site constants beta of ``base`` are held fixed and only the
+    hopping changes, H(J) = diag(beta) + J*T with T the 0/1
+    nearest-neighbour matrix, so the dimensionless loss of each domain
+    shrinks as J grows. At the smallest J a full ``eig_full`` selects the
+    two modes with the largest weight on the interface cell and the outer
+    cell of the second domain; of modes whose weights agree within
+    ``WEIGHT_TIE_RTOL``, the one with lower Re E is taken. At each later J
     every tracked mode r is first predicted to first order,
-    lambda_pred = lambda_prev + r^T dH r / r^T r, and then refined by a
-    c-product Rayleigh-quotient iteration from (lambda_pred, r) with
-    tridiagonal solves. The pair is kept if each residual is within
-    ``RESIDUAL_RTOL * ||H||``, each eigenvalue lies within ``PREDICTOR_RTOL``
-    of its predicted step (plus a rounding floor), the two modes are
-    distinct, no shift was exactly singular and each vector overlaps its
-    predecessor by at least ``overlap_min``. Otherwise, as near a
-    coalescence, ``eig_full`` runs at that J and the pair is continued by
+    lambda_pred = lambda_prev + 2 dJ sum_i r_i r_(i+1) / r^T r, and then
+    refined by a c-product Rayleigh-quotient iteration from
+    (lambda_pred, r) with tridiagonal solves. The pair is kept if each
+    residual is within ``RESIDUAL_RTOL * ||H||``, each eigenvalue lies within
+    ``PREDICTOR_RTOL`` of its predicted step (plus a rounding floor), the
+    two modes are distinct, no shift was exactly singular and each vector
+    overlaps its predecessor by at least ``overlap_min``. Otherwise, as near
+    a coalescence, ``eig_full`` runs on H(J) and the pair is continued by
     maximal joint eigenvector overlap, raising :class:`ModeTrackingError`
-    below ``overlap_min``. The estimate ``J_ep`` is the separation minimum
-    of the scan, flagged when it sits at either end of the scan.
+    below ``overlap_min``. Each row of ``pair_eigenvalues`` lists the higher
+    Re E first; a pair whose Re E agree within ``SPECTRUM_ORDER_RTOL *
+    ||H||`` lists the lower Im E first. The estimate ``J_ep`` is the
+    separation minimum of the scan, flagged when it sits at either end of
+    the scan.
     """
     if base.is_uniform or base.interface_index is None:
         raise ConfigurationError("ep_sweep requires an interface lattice")
@@ -356,38 +348,43 @@ def ep_sweep(
     if J_values.size < 2:
         raise ConfigurationError("ep_sweep needs at least two hopping values")
 
+    n = base.n_sites
     if0 = base.interface_index - 1
-    sel_sites = list(range(if0, min(if0 + SITES_PER_CELL, base.n_sites)))
-    sel_sites += list(range(base.n_sites - SITES_PER_CELL, base.n_sites))
+    sel_sites = list(range(if0, min(if0 + SITES_PER_CELL, n)))
+    sel_sites += list(range(n - SITES_PER_CELL, n))
+    beta = base.re_beta + base.hopping_J * base.onsite_values()
+    norms = np.hypot(np.linalg.norm(beta), math.sqrt(2.0 * (n - 1)) * J_values)  # ||H(J)||
 
     pair_eigs = np.empty((J_values.size, 2), dtype=complex)
     conds = np.empty((J_values.size, 2))
     prev_pair = None  # (n, 2) tracked unit eigenvectors from the previous J
-    prev_d = prev_e = None
     for idx, J in enumerate(J_values):
-        h = real_space_hamiltonian(_scaled_interface(base, J)).matrix
-        d, e = h.diagonal(), h.diagonal(1)
+        e = np.full(n - 1, J, dtype=complex)
         tracked = None
         if prev_pair is not None:
             tracked = _track_pair(
-                d, e, d - prev_d, e - prev_e, pair_eigs[idx - 1], prev_pair, overlap_min
+                beta, e, J - J_values[idx - 1], norms[idx],
+                pair_eigs[idx - 1], prev_pair, overlap_min,
             )
         if tracked is not None:
             pair_eigs[idx], prev_pair = tracked
             conds[idx] = 1.0 / np.abs(_c_products(prev_pair))  # unit vectors
         else:
-            spec = eig_full(h)
+            spec = eig_full(chain_matrix(beta, J))
             vr = spec.right_vectors
             if prev_pair is None:
                 weight = (np.abs(vr[sel_sites, :]) ** 2).sum(axis=0)
-                pair_idx = [int(i) for i in np.argsort(weight)[-2:]]
+                pair_idx = spectrum_order(
+                    -weight + 1j * spec.eigenvalues.real, WEIGHT_TIE_RTOL * weight.max()
+                )[:2]
             else:
                 pair_idx = _joint_overlap_pair(prev_pair, vr, J, overlap_min)
             prev_pair = vr[:, pair_idx]
             pair_eigs[idx] = spec.eigenvalues[pair_idx]
             conds[idx] = spec.condition_numbers[pair_idx]
-        prev_d, prev_e = d, e
 
+    for row, norm in zip(pair_eigs, norms):
+        row[:] = row[spectrum_order(-row.conj(), SPECTRUM_ORDER_RTOL * norm)]
     separation = np.abs(pair_eigs[:, 0] - pair_eigs[:, 1])
     i_min = int(np.argmin(separation))
     return EPSweepResult(

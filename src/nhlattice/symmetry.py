@@ -91,17 +91,14 @@ def chiral_unitary(case: str = CASE_NONTRIVIAL) -> np.ndarray:
 
 
 def build_HDP(
-    k: float, g: float = 1.0, case: str = CASE_NONTRIVIAL
+    k: float, case: str = CASE_NONTRIVIAL
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Doubled 8x8 generator matrices (H(k), D, P) for one unit cell.
 
-    ``g`` only scales the dropped prefactors and is accepted for interface
-    symmetry; it must be >= 0. The trivial case differs from the nontrivial
-    one by an exchange of rows and columns in P (the loss pattern shifts by
-    two sites).
+    The loss strength only scales the dropped prefactors, so it does not
+    enter. The trivial case differs from the nontrivial one by an exchange
+    of rows and columns in P (the loss pattern shifts by two sites).
     """
-    if g < 0:
-        raise ConfigurationError("g must be >= 0")
     h_corner = np.array(
         [[-np.exp(-4j * k), 0], [0, np.exp(4j * k)]], dtype=complex
     )
@@ -133,7 +130,6 @@ class SymmetryReport:
 def check_symmetries(
     k_samples: Sequence[float],
     case: str = CASE_NONTRIVIAL,
-    g: float = 1.0,
     h_builder: Optional[Callable[[float], np.ndarray]] = None,
     tol: float = RESIDUAL_TOL,
 ) -> SymmetryReport:
@@ -150,9 +146,9 @@ def check_symmetries(
     def h_at(k):
         if h_builder is not None:
             return h_builder(k)
-        return build_HDP(k, g=g, case=case)[0]
+        return build_HDP(k, case=case)[0]
 
-    _, d, p = build_HDP(0.0, g=g, case=case)
+    _, d, p = build_HDP(0.0, case=case)
     res_t = res_c = res_s = 0.0
     for k in k_samples:
         h_k = h_at(float(k))

@@ -74,16 +74,12 @@ def winding_number(
     J: float,
     d: float,
     k_grid_size: int = 128,
-    periods: int = 1,
 ) -> WindingResult:
     """Winding number of the loss pattern from a discretized Wilson loop.
 
-    ``k_grid_size`` points per reduced zone of length pi/(2d); with
-    ``periods`` > 1 the path covers that many zones and each zone closes as
-    its own segment, so the total is ``periods`` times the one-zone value
-    (the integrand is k-periodic). Raises :class:`GaplessSpectrumError` when
-    the Re E gap between the doublets falls below ``GAP_MIN`` anywhere on
-    the grid.
+    ``k_grid_size`` points over the reduced zone of length pi/(2d). Raises
+    :class:`GaplessSpectrumError` when the Re E gap between the doublets
+    falls below ``GAP_MIN`` anywhere on the grid.
     """
     if k_grid_size < 16:
         raise ConfigurationError("k_grid_size must be at least 16")
@@ -91,12 +87,11 @@ def winding_number(
         n_sites=4, hopping_J=J, spacing_d=d, pattern=pattern, re_beta=0.0
     )
     dk = (np.pi / (2.0 * d)) / k_grid_size
-    n_k = k_grid_size * periods
 
     bases: List[Tuple] = []
     gap = np.inf
-    for m in range(n_k):
-        h = bloch_hamiltonian(m * dk, spec, units="J").matrix
+    for m in range(k_grid_size):
+        h = bloch_hamiltonian(m * dk, spec, units="J")
         re = np.sort(np.linalg.eigvals(h).real)
         gap = min(gap, re[2] - re[1])
         if gap <= GAP_MIN:
@@ -109,22 +104,15 @@ def winding_number(
     total = 0.0
     per_band: List[float] = []
     for c in range(2):
-        seg_total = 0.0
         wilson = np.eye(2, dtype=complex)
-        band_phases = None
-        for seg in range(periods):
-            start = seg * k_grid_size
-            for m in range(start, start + k_grid_size):
-                right_m, left_m = bases[m][c]
-                # close each zone segment on its own start basis
-                nxt = start if m + 1 == start + k_grid_size else m + 1
-                right_n = bases[nxt][c][0]
-                gram = left_m.conj().T @ right_m
-                wilson = wilson @ np.linalg.solve(gram, left_m.conj().T @ right_n)
-            seg_total += float(_branch(-np.angle(np.linalg.det(wilson))))
-            band_phases = _branch(-np.angle(np.linalg.eigvals(wilson)))
-            wilson = np.eye(2, dtype=complex)
-        total += seg_total
+        for m in range(k_grid_size):
+            right_m, left_m = bases[m][c]
+            # the loop closes on its start basis
+            right_n = bases[(m + 1) % k_grid_size][c][0]
+            gram = left_m.conj().T @ right_m
+            wilson = wilson @ np.linalg.solve(gram, left_m.conj().T @ right_n)
+        total += float(_branch(-np.angle(np.linalg.det(wilson))))
+        band_phases = _branch(-np.angle(np.linalg.eigvals(wilson)))
         per_band.extend(float(p) for p in np.sort(band_phases))
 
     w = total / (2.0 * np.pi)

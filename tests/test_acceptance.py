@@ -131,7 +131,7 @@ def test_criterion_05_momentum_spectra():
     lo_max, up_min = -np.inf, np.inf
     for k in np.linspace(0, np.pi / (2 * D), 128, endpoint=False):
         re = np.sort(
-            np.linalg.eigvals(nh.bloch_hamiltonian(k, spec_ii, units="1/um").matrix).real
+            np.linalg.eigvals(nh.bloch_hamiltonian(k, spec_ii, units="1/um")).real
         )
         lo_max, up_min = max(lo_max, re[1]), min(up_min, re[2])
     gap = up_min - lo_max

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nhlattice.cli import SPECTRUM_ORDER_RTOL, _spectrum_order, main
+from nhlattice.cli import main
 from nhlattice.lattice import LatticeSpec, LossPattern, real_space_hamiltonian
-from nhlattice.spectral import eig_full
+from nhlattice.spectral import SPECTRUM_ORDER_RTOL, eig_full, spectrum_order
 
 FIGS = sorted(Path(__file__).resolve().parents[1].glob("configs/figs/*.json"))
 
@@ -73,6 +73,10 @@ CONFIG_ONLY_ERRORS = {
     "amplitude_strings": (
         beam("propagate", excitation={"kind": "edge", "amplitude": ["a", "b"]}),
         "config.excitation.amplitude",
+    ),
+    "unlabeled_triple": (
+        {"run": "spectrum", "lattice": dict(CHAIN, pattern={"g0": 1.0, "g1": 0.0, "g2": 1.0})},
+        "config.lattice.pattern",
     ),
     "custom_cell_strings": (
         {"run": "spectrum", "lattice": dict(
@@ -467,14 +471,14 @@ class TestSpectrumOrder:
         # fig1b point_000: half of this phase-II spectrum sits in pairs of equal Re E
         spec = LatticeSpec(n_sites=40, hopping_J=0.045, spacing_d=1.4,
                            pattern=LossPattern.from_g(1.1, 1.1, -1.1), re_beta=0.0)
-        h = real_space_hamiltonian(spec).matrix
+        h = real_space_hamiltonian(spec)
         w = eig_full(h).eigenvalues
         norm = np.linalg.norm(h)
-        order = _spectrum_order(w, SPECTRUM_ORDER_RTOL * norm)
+        order = spectrum_order(w, SPECTRUM_ORDER_RTOL * norm)
         re = np.sort(w.real)
         assert np.count_nonzero(np.diff(re) <= SPECTRUM_ORDER_RTOL * norm) >= 10
         assert np.all(np.diff(w.real[order]) >= -SPECTRUM_ORDER_RTOL * norm)
         rng = np.random.default_rng(0)
         for _ in range(20):
             kick = 1e-13 * norm * (rng.uniform(-1, 1, w.size) + 1j * rng.uniform(-1, 1, w.size))
-            assert np.array_equal(_spectrum_order(w + kick, SPECTRUM_ORDER_RTOL * norm), order)
+            assert np.array_equal(spectrum_order(w + kick, SPECTRUM_ORDER_RTOL * norm), order)

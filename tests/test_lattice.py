@@ -3,11 +3,11 @@ import pytest
 
 from nhlattice.errors import ConfigurationError
 from nhlattice.lattice import (
-    ComplexMatrix,
     LatticeSpec,
     LossPattern,
     bloch_hamiltonian,
     cell_diagonal,
+    chain_matrix,
     interface_lattice,
     real_space_hamiltonian,
 )
@@ -64,6 +64,18 @@ class TestLossPattern:
         with pytest.raises(ConfigurationError):
             LossPattern(phase="I", g0=0.5)
 
+    @pytest.mark.parametrize("g0,g1,g2", [
+        (np.nan, 1.0, 1.0), (np.inf, 1.0, 1.0), (1.0, np.nan, 1.0), (1.0, 1.0, -np.inf),
+    ])
+    def test_rejects_non_finite(self, g0, g1, g2):
+        with pytest.raises(ConfigurationError):
+            LossPattern(phase="III", g0=g0, g1=g1, g2=g2)
+
+    @pytest.mark.parametrize("cell", [[np.nan, 0, 0, 0], [0, complex(0, np.inf), 0, 0]])
+    def test_custom_cell_rejects_non_finite(self, cell):
+        with pytest.raises(ConfigurationError):
+            LossPattern.custom(cell)
+
     @pytest.mark.parametrize("g0,g1,g2", [(1.0, 1.0, 1.0), (1.3, 0.8, -1.1), (2.0, -1.5, -0.5)])
     def test_purely_dissipative_when_g0_dominates(self, g0, g1, g2):
         # g0 >= max(|g1|, |g2|) guarantees non-positive on-site imaginary parts
@@ -74,7 +86,7 @@ class TestLossPattern:
 class TestBlochHamiltonian:
     def test_lossless_k0_structure(self):
         spec = uniform_spec(LossPattern.lossless(), n_sites=4)
-        h = bloch_hamiltonian(0.0, spec).matrix
+        h = bloch_hamiltonian(0.0, spec)
         expected = np.array(
             [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]],
             dtype=complex,
@@ -86,7 +98,7 @@ class TestBlochHamiltonian:
         # zone gives 2J*cos(k d + m*pi/2), m = 0..3
         spec = uniform_spec(LossPattern.lossless(), n_sites=4)
         for k in (0.1, 0.37, 0.9):
-            h = bloch_hamiltonian(k, spec, units="1/um").matrix
+            h = bloch_hamiltonian(k, spec, units="1/um")
             got = np.sort(np.linalg.eigvals(h).real)
             expected = np.sort([2 * J * np.cos(k * D + m * np.pi / 2) for m in range(4)])
             assert np.allclose(got, expected, atol=1e-12)
@@ -98,22 +110,22 @@ class TestBlochHamiltonian:
         )
         spec = uniform_spec(pattern, n_sites=4)
         for k in (0.0, 0.23, 1.1):
-            h = bloch_hamiltonian(k, spec, units="1/um").matrix
+            h = bloch_hamiltonian(k, spec, units="1/um")
             assert np.isclose(np.trace(h), -4j * J * g0, atol=1e-15)
 
     def test_zone_periodicity_of_eigenvalues(self):
         spec = uniform_spec(LossPattern.topological(1.1), n_sites=4)
         period = np.pi / (2 * D)
         for k in (0.05, 0.4):
-            w1 = np.linalg.eigvals(bloch_hamiltonian(k, spec).matrix)
-            w2 = np.linalg.eigvals(bloch_hamiltonian(k + period, spec).matrix)
+            w1 = np.linalg.eigvals(bloch_hamiltonian(k, spec))
+            w2 = np.linalg.eigvals(bloch_hamiltonian(k + period, spec))
             for val in w1:
                 assert np.min(np.abs(w2 - val)) < 1e-10
 
     def test_units_scaling(self):
         spec = uniform_spec(LossPattern.topological(0.7), n_sites=4)
-        h_j = bloch_hamiltonian(0.2, spec, units="J").matrix
-        h_um = bloch_hamiltonian(0.2, spec, units="1/um").matrix
+        h_j = bloch_hamiltonian(0.2, spec, units="J")
+        h_um = bloch_hamiltonian(0.2, spec, units="1/um")
         assert np.allclose(h_um, J * h_j)
 
     def test_interface_lattice_has_no_bloch_form(self):
@@ -126,37 +138,45 @@ class TestBlochHamiltonian:
 
 
 class TestRealSpaceHamiltonian:
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_chain_matrix_is_diag_plus_hopping(self, n):
+        beta = np.arange(n) - 0.5j * np.arange(n)
+        expected = np.diag(beta) + J * (np.eye(n, k=1) + np.eye(n, k=-1))
+        h = chain_matrix(beta, J)
+        assert h.dtype == complex
+        assert np.array_equal(h, expected)
+
     def test_two_site_coupler(self):
         spec = LatticeSpec(
             n_sites=2, hopping_J=J, spacing_d=D,
             pattern=LossPattern.lossless(), re_beta=0.0,
         )
-        h = real_space_hamiltonian(spec).matrix
+        h = real_space_hamiltonian(spec)
         assert np.allclose(h, [[0, J], [J, 0]])
 
     def test_phase_iii_diagonal_tiling(self):
         # arithmetic oracle: Im(beta) = 2*g*J = 2*1.1*0.045 = 0.099 on the
         # two lossy sites of each cell
         spec = uniform_spec(LossPattern.topological(1.1), n_sites=40)
-        diag = np.diag(real_space_hamiltonian(spec).matrix)
+        diag = np.diag(real_space_hamiltonian(spec))
         expected = np.tile([0.0, -0.099, -0.099, 0.0], 10)
         assert np.allclose(diag.imag, expected, atol=1e-15)
         assert np.allclose(diag.real, 0.0)
 
     def test_re_beta_enters_diagonal(self):
         spec = uniform_spec(LossPattern.lossless(), n_sites=8, re_beta=6.6)
-        diag = np.diag(real_space_hamiltonian(spec).matrix)
+        diag = np.diag(real_space_hamiltonian(spec))
         assert np.allclose(diag.real, 6.6)
 
     def test_truncated_cell(self):
         spec = uniform_spec(LossPattern.topological(1.0), n_sites=6)
-        diag = np.diag(real_space_hamiltonian(spec).matrix).imag / J
+        diag = np.diag(real_space_hamiltonian(spec)).imag / J
         assert np.allclose(diag, [0, -2, -2, 0, 0, -2])
 
     def test_hermitian_iff_lossless(self):
-        h0 = real_space_hamiltonian(uniform_spec(LossPattern.lossless(), 12)).matrix
+        h0 = real_space_hamiltonian(uniform_spec(LossPattern.lossless(), 12))
         assert np.allclose(h0, h0.conj().T)
-        h1 = real_space_hamiltonian(uniform_spec(LossPattern.topological(1.1), 12)).matrix
+        h1 = real_space_hamiltonian(uniform_spec(LossPattern.topological(1.1), 12))
         assert not np.allclose(h1, h1.conj().T)
 
     @pytest.mark.parametrize(
@@ -166,7 +186,7 @@ class TestRealSpaceHamiltonian:
     def test_bendixson_bound_on_imaginary_parts(self, pattern):
         # the hopping part is Hermitian, so Im(E) is bounded by the diagonal
         spec = uniform_spec(pattern, n_sites=40)
-        h = real_space_hamiltonian(spec).matrix
+        h = real_space_hamiltonian(spec)
         diag_im = np.diag(h).imag
         eig_im = np.linalg.eigvals(h).imag
         assert eig_im.min() >= diag_im.min() - 1e-12
@@ -174,7 +194,7 @@ class TestRealSpaceHamiltonian:
 
     def test_lossless_spectrum_real(self):
         spec = uniform_spec(LossPattern.lossless(), n_sites=40, re_beta=6.6)
-        eig = np.linalg.eigvals(real_space_hamiltonian(spec).matrix)
+        eig = np.linalg.eigvals(real_space_hamiltonian(spec))
         assert np.abs(eig.imag).max() < 1e-12
 
 
@@ -193,10 +213,10 @@ class TestInterfaceLattice:
         iface = interface_lattice(
             LossPattern.lossless(), LossPattern.lossless(), 3, 3, self.base()
         )
-        h_iface = real_space_hamiltonian(iface).matrix
+        h_iface = real_space_hamiltonian(iface)
         h_plain = real_space_hamiltonian(
             uniform_spec(LossPattern.lossless(), n_sites=24)
-        ).matrix
+        )
         assert np.allclose(h_iface, h_plain)
 
     def test_onsite_values_at_g07(self):
@@ -217,17 +237,17 @@ class TestInterfaceLattice:
             )
 
 
-class TestComplexMatrix:
-    def test_rejects_non_square(self):
-        with pytest.raises(ConfigurationError):
-            ComplexMatrix(np.zeros((2, 3)))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ConfigurationError):
-            ComplexMatrix(np.array([[np.nan, 0], [0, 1]]))
-
+class TestLatticeSpec:
     def test_spec_validation(self):
         with pytest.raises(ConfigurationError):
             LatticeSpec(n_sites=0, hopping_J=J, spacing_d=D, pattern=LossPattern.lossless())
         with pytest.raises(ConfigurationError):
             LatticeSpec(n_sites=4, hopping_J=-1, spacing_d=D, pattern=LossPattern.lossless())
+
+    @pytest.mark.parametrize("field", ["hopping_J", "spacing_d", "re_beta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, field, value):
+        kwargs = dict(n_sites=4, hopping_J=J, spacing_d=D, re_beta=6.6)
+        kwargs[field] = value
+        with pytest.raises(ConfigurationError):
+            LatticeSpec(pattern=LossPattern.lossless(), **kwargs)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 
 from nhlattice.serialization import (
+    CSV_BLOCK_ROWS,
     config_hash,
     fmt,
     jsonable,
@@ -68,6 +69,17 @@ def test_float_rows_keep_the_bytes_of_fmt(tmp_path):
     rows += [[1.5, True], [1.5, 10**20], [1.5, 1 + 2j], [1.5, np.bool_(False)], [1.5, "a"]]
     text = write_csv(tmp_path / "f.csv", ["h"], rows).read_text()
     expected = ["h"] + [",".join(fmt(v) for v in row) for row in rows]
+    assert text == "\n".join(expected) + "\n"
+
+
+def test_float_array_keeps_the_bytes_of_fmt(tmp_path):
+    # more rows than one block, with nan, inf and -0.0 in the second block
+    rng = np.random.default_rng(2)
+    shape = (CSV_BLOCK_ROWS + 5, 3)
+    floats = 10.0 ** rng.uniform(-300, 300, shape) * rng.choice([-1, 1], shape)
+    floats[CSV_BLOCK_ROWS] = [np.nan, np.inf, -0.0]
+    text = write_csv(tmp_path / "a.csv", ["x", "y", "z"], floats).read_text()
+    expected = ["x,y,z"] + [",".join(fmt(v) for v in row) for row in floats]
     assert text == "\n".join(expected) + "\n"
 
 

@@ -18,7 +18,6 @@ from nhlattice.spectral import (
     eig_full,
     ep_sweep,
     _rayleigh_quotient_iteration,
-    _scaled_interface,
     find_zero_modes,
 )
 
@@ -66,7 +65,7 @@ class TestComplexSymmetricDomain:
     @settings(deadline=None, max_examples=25)
     @given(spec=lattices)
     def test_chain_is_symmetric_tridiagonal(self, spec):
-        h = real_space_hamiltonian(spec).matrix
+        h = real_space_hamiltonian(spec)
         assert np.array_equal(h, h.T)
         assert np.array_equal(h, np.triu(np.tril(h, 1), -1))
         assert eig_full(h).dimension == spec.n_sites
@@ -75,7 +74,7 @@ class TestComplexSymmetricDomain:
     @given(spec=lattices)
     def test_c_product_condition_matches_left_solve(self, spec):
         # reference: unit-norm left vectors from a separate left solve
-        h = real_space_hamiltonian(spec).matrix
+        h = real_space_hamiltonian(spec)
         spec_full = eig_full(h)
         w_ref, vl, vr = sla.eig(h, left=True, right=True)
         cond_ref = (np.linalg.norm(vl, axis=0) * np.linalg.norm(vr, axis=0)
@@ -176,7 +175,7 @@ class TestBiorthonormalize:
         # direct overlap-matrix oracle on a cleanly diagonalizable Bloch
         # point; at k = 0 the corner phases are 1 and the matrix is symmetric
         spec_lat = lattice(LossPattern.topological(1.1), n_sites=4)
-        h = bloch_hamiltonian(0.0, spec_lat).matrix
+        h = bloch_hamiltonian(0.0, spec_lat)
         spec = eig_full(h)
         overlap = spec.left_vectors.conj().T @ spec.right_vectors
         assert np.abs(overlap - np.eye(4)).max() < 1e-10
@@ -192,7 +191,7 @@ class TestBiorthonormalize:
         # at g0=g1=g2=1 the k=0 Bloch matrix has two exact exceptional
         # points (double eigenvalues with one eigenvector each)
         spec_lat = lattice(LossPattern.topological(1.0), n_sites=4)
-        h = bloch_hamiltonian(0.0, spec_lat).matrix
+        h = bloch_hamiltonian(0.0, spec_lat)
         spec = eig_full(h)
         assert spec.condition_numbers.max() > 1e6
 
@@ -271,22 +270,46 @@ class TestZeroModes:
         assert len(report) == 2
 
 
+def hopping_chain(base, j_hop):
+    """diag(beta) + J*T of ``base`` at hopping ``j_hop``, with beta held fixed."""
+    beta = base.re_beta + base.hopping_J * base.onsite_values()
+    n = base.n_sites
+    return np.diag(beta) + j_hop * (np.eye(n, k=1) + np.eye(n, k=-1))
+
+
+def higher_re_first(pair, tol):
+    """The pair with the higher Re E first; if the Re E agree within tol,
+    the lower Im E first."""
+    a, b = pair
+    swap = a.imag > b.imag if abs(a.real - b.real) <= tol else a.real < b.real
+    return pair[::-1] if swap else pair
+
+
 def reference_sweep(base, J_values, overlap_min=0.5):
     """The tracked pair from an eig_full at every J, continued by maximal
-    joint eigenvector overlap. Returns (pair eigenvalues (n_J, 2), the
-    larger condition number of each pair, ||H|| at each J, whether a
-    continuation was a tie). A tie, two columns overlapping a tracked mode
-    equally, happens where the mode has passed a coalescence with an
-    untracked one; rounding then picks the branch."""
+    joint eigenvector overlap, each row in ``higher_re_first`` order.
+    Returns (pair eigenvalues (n_J, 2), the larger condition number of each
+    pair, ||H|| at each J, whether a continuation was a tie). A tie, two
+    columns overlapping a tracked mode equally, happens where the mode has
+    passed a coalescence with an untracked one; rounding then picks the
+    branch."""
     if0 = base.interface_index - 1
     sel = list(range(if0, min(if0 + 4, base.n_sites))) + list(range(base.n_sites - 4, base.n_sites))
     pairs, conds, norms, prev, tie = [], [], [], None, False
     for j_hop in J_values:
-        h = real_space_hamiltonian(_scaled_interface(base, j_hop)).matrix
+        h = hopping_chain(base, j_hop)
         spec = eig_full(h)
         vr = spec.right_vectors
         if prev is None:
-            idx = list(np.argsort((np.abs(vr[sel]) ** 2).sum(axis=0))[-2:])
+            # largest interface weight first; of weights within 1e-9 of the
+            # largest one left, the lowest Re E
+            weight = (np.abs(vr[sel]) ** 2).sum(axis=0)
+            idx = []
+            for _ in range(2):
+                left = [i for i in range(weight.size) if i not in idx]
+                top = max(weight[left])
+                near = [i for i in left if weight[i] >= top - 1e-9 * weight.max()]
+                idx.append(min(near, key=lambda i: spec.eigenvalues[i].real))
         else:
             ov = np.abs(prev.conj().T @ vr)
             o0, o1 = np.argsort(ov[0])[::-1], np.argsort(ov[1])[::-1]
@@ -301,14 +324,15 @@ def reference_sweep(base, J_values, overlap_min=0.5):
                 raise ModeTrackingError("reference lost the pair", {"J": j_hop})
             idx = [a, b]
         prev = vr[:, idx]
-        pairs.append(spec.eigenvalues[idx])
+        norm = np.linalg.norm(h)
+        pairs.append(higher_re_first(spec.eigenvalues[idx], 1e-12 * norm))
         conds.append(spec.condition_numbers[idx].max())
-        norms.append(np.linalg.norm(h))
+        norms.append(norm)
     return np.array(pairs), np.array(conds), np.array(norms), tie
 
 
 def assert_matches_reference(res, pairs, conds, norms):
-    # same column labels: each tracked mode matches its own reference column
+    # same row order: each column matches its own reference column
     assert np.all(np.abs(res.pair_eigenvalues - pairs) <= 1e-12 * norms[:, None])
     i_min = int(np.argmin(np.abs(pairs[:, 0] - pairs[:, 1])))
     assert res.J_ep_estimate == res.J_values[i_min]
@@ -369,6 +393,42 @@ class TestEPSweepTracking:
         pairs, conds, norms, _ = reference_sweep(base, J_values)
         assert_matches_reference(ep_sweep(base, J_values), pairs, conds, norms)
 
+    @settings(deadline=None, max_examples=5)
+    @given(domains=st.one_of(symmetric_domains, asymmetric_domains),
+           kick=st.floats(-1e-13, 1e-13))
+    def test_rounding_change_of_beta_keeps_row_order(self, domains, kick):
+        # beta scaled by 1 + kick, a change the size of its rounding, must
+        # not swap the columns of any row or move J_ep
+        J_values = np.arange(0.04, 0.12001, 0.002)
+        runs = []
+        for hop in (J, J * (1.0 + kick)):
+            base = LatticeSpec(n_sites=4, hopping_J=hop, spacing_d=D,
+                               pattern=LossPattern.lossless(), re_beta=6.6)
+            runs.append(ep_sweep(interface_lattice(*domains, 6, 6, base), J_values))
+        a, b = (r.pair_eigenvalues for r in runs)
+        assert np.all(np.abs(a - b).max(axis=1) < np.abs(a - b[:, ::-1]).max(axis=1))
+        assert runs[0].J_ep_estimate == runs[1].J_ep_estimate
+        assert runs[0].J_ep_at_scan_edge == runs[1].J_ep_at_scan_edge
+
+    def test_first_J_weight_tie_takes_lower_re(self):
+        # two modes mirrored about re_beta carry the same interface weight
+        # to rounding; the one with lower Re E is tracked, the other is not
+        base = interface_lattice(
+            LossPattern.from_g(2.0, 0.5, -1.0), LossPattern.from_g(2.0, 0.5, 1.0), 6, 6,
+            lattice(LossPattern.lossless(), n_sites=4, re_beta=6.6),
+        )
+        spec = eig_full(hopping_chain(base, 0.04))
+        sel = list(range(24, 28)) + list(range(44, 48))
+        weight = (np.abs(spec.right_vectors[sel]) ** 2).sum(axis=0)
+        second, third = np.sort(weight)[::-1][1:3]
+        assert second - third <= 1e-9 * weight.max()
+        tied = spec.eigenvalues[np.abs(weight - second) <= 1e-9 * weight.max()]
+        assert tied.size == 2
+        low, high = sorted(tied, key=lambda e: e.real)
+        assert high.real - low.real > 0.1
+        first = ep_sweep(base, np.arange(0.04, 0.12001, 0.001)).pair_eigenvalues[0]
+        assert np.abs(first - low).min() <= 1e-12 * np.linalg.norm(hopping_chain(base, 0.04))
+        assert np.abs(first - high).min() > 0.01
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestEPSweep:
@@ -412,26 +472,6 @@ class TestEPSweep:
         res = ep_sweep(iface, np.arange(0.04, 0.121, 0.004))
         assert res.edge_pair_separation.min() > 1e-3 * J
 
-    @pytest.mark.parametrize("left, right", [
-        (LossPattern.from_g(2.0, 0.5, -1.0), LossPattern.from_g(2.0, 0.5, 1.0)),
-        (LossPattern.trivial(1.1111111111111112), LossPattern.topological(1.1111111111111112)),
-    ], ids=["asymmetric", "symmetric"])
-    def test_rebuild_at_base_hopping_is_the_base(self, left, right):
-        base = interface_lattice(left, right, 6, 6, lattice(LossPattern.lossless(), n_sites=4))
-        rebuilt = _scaled_interface(base, base.hopping_J)
-        assert np.array_equal(rebuilt.onsite_values(), base.onsite_values())
-
-    def test_rebuild_holds_every_site_beta(self):
-        custom = LossPattern.custom([0.3 - 0.2j, -1.5j, 0.1, -0.7j], g0=0.4)
-        base = interface_lattice(
-            LossPattern.from_g(2.0, 0.5, -1.0), custom, 3, 3,
-            lattice(LossPattern.lossless(), n_sites=4),
-        )
-        rebuilt = _scaled_interface(base, 0.07)
-        np.testing.assert_allclose(
-            0.07 * rebuilt.onsite_values(), J * base.onsite_values(), rtol=1e-15
-        )
-
     def test_asymmetric_domains_track_the_configured_lattice(self):
         base = interface_lattice(
             LossPattern.from_g(2.0, 0.5, -1.0), LossPattern.from_g(2.0, 0.5, 1.0), 6, 6,
@@ -444,6 +484,17 @@ class TestEPSweep:
             spectrum = np.linalg.eigvals(np.diag(beta) + j_hop * hop)
             for e in pair:
                 assert np.abs(spectrum - e).min() < 1e-9
+
+    def test_only_rows_near_the_coalescence_fall_back(self, monkeypatch):
+        # fig4c's sweep: the first row and 18 rows with J in [0.074, 0.096],
+        # next to the coalescence at 0.093, need eig_full; the other 62 of
+        # its 81 rows are tracked
+        calls = []
+        eig = spectral.eig_full
+        monkeypatch.setattr(spectral, "eig_full", lambda h: calls.append(1) or eig(h))
+        ep_sweep(ii_iii_interface(1.1111111111111112, re_beta=6.6),
+                 np.arange(0.04, 0.12001, 0.001))
+        assert len(calls) == 19
 
     def test_requires_interface_lattice(self):
         with pytest.raises(ConfigurationError):
@@ -461,20 +512,24 @@ class TestEPSweep:
             ep_sweep(ii_iii_interface(1.1111111111111112), J_values, overlap_min=overlap_min)
 
     def test_exactly_singular_shift_falls_back(self, monkeypatch):
-        # a lossless chain without re_beta is J times a fixed matrix, so
-        # doubling J doubles every eigenvalue exactly and the predicted shift
-        # is an exact eigenvalue with an exactly singular pivot
+        # at J = 0 the chain is diag(beta), so the tracked vectors are exact
+        # unit vectors and the predicted step 2 dJ sum r_i r_(i+1) vanishes:
+        # the shift predicted at J = 1 is beta = 0 of site 5, an exact
+        # eigenvalue of diag(beta) + T whose last tridiagonal pivot is
+        # exactly zero in binary arithmetic
         base = LatticeSpec(
-            n_sites=4, hopping_J=0.5, spacing_d=D, pattern=LossPattern.lossless(), re_beta=0.0
+            n_sites=4, hopping_J=1.0, spacing_d=D, pattern=LossPattern.lossless(), re_beta=0.0
         )
-        iface = interface_lattice(LossPattern.lossless(), LossPattern.lossless(), 1, 1, base)
+        iface = interface_lattice(
+            LossPattern.custom([-1, -2, -4, -1]), LossPattern.custom([0, 2, 1, 4]), 1, 1, base
+        )
         found = []
         rqi = spectral._rayleigh_quotient_iteration
         monkeypatch.setattr(
             spectral, "_rayleigh_quotient_iteration",
             lambda *args: found.append(rqi(*args)) or found[-1],
         )
-        res = ep_sweep(iface, [0.5, 1.0, 2.0])
+        res = ep_sweep(iface, [0.0, 1.0])
         assert None in found
         assert np.all(np.isfinite(res.pair_eigenvalues))
         pairs, _, norms, _ = reference_sweep(iface, res.J_values)

@@ -43,9 +43,7 @@ class TestBuildHDP:
         assert np.allclose(p_nt[2:4, 2:4], 1j * sz) and np.allclose(p_nt[6:8, 6:8], 0)
         assert np.allclose(p_tr[6:8, 6:8], 1j * sz) and np.allclose(p_tr[0:4, 0:4], 0)
 
-    def test_rejects_negative_loss_and_bad_case(self):
-        with pytest.raises(ConfigurationError):
-            build_HDP(0.0, g=-1.0)
+    def test_rejects_bad_case(self):
         with pytest.raises(ConfigurationError):
             build_HDP(0.0, case="other")
 
@@ -101,9 +99,3 @@ class TestCheckSymmetries:
 
         rep = check_symmetries(K_SAMPLES, h_builder=perturbed)
         assert rep.residual_S <= rep.residual_T + rep.residual_C + 1e-12
-
-    def test_loss_strength_does_not_enter(self):
-        reps = [check_symmetries(K_SAMPLES, g=g) for g in (0.5, 1.0, 2.0)]
-        for rep in reps:
-            assert rep.class_label == "BDI"
-            assert max(rep.residual_T, rep.residual_C, rep.residual_S) < 1e-12

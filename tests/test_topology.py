@@ -44,13 +44,6 @@ class TestWindingNumber:
         assert max(snapped) < 1e-2
         assert sum(res.per_band_phase) == pytest.approx(2 * np.pi, abs=1e-8)
 
-    def test_four_zone_path_gives_four_w(self):
-        # the integrand is k-periodic, so covering four reduced zones must
-        # accumulate four times the invariant
-        res1 = winding_number(LossPattern.topological(1.1), J, D, k_grid_size=64)
-        res4 = winding_number(LossPattern.topological(1.1), J, D, k_grid_size=64, periods=4)
-        assert res4.W == pytest.approx(4 * res1.W, abs=1e-8)
-
     def test_gauge_invariance(self, monkeypatch):
         # random GL(2) changes of the subspace bases must leave W untouched
         rng = np.random.default_rng(42)
