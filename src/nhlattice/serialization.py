@@ -33,23 +33,19 @@ CSV_BLOCK_ROWS = 1024
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    """Header and rows as CSV; a row of real floats is formatted in one call,
-    and a 2-D float array one block of rows at a time."""
+    """Header and rows as CSV; a 2-D float array is formatted one block of
+    rows per call, any other rows cell by cell with ``fmt``."""
     path = Path(path)
     lines = [",".join(header)]
     if isinstance(rows, np.ndarray) and rows.dtype == float:
+        # "%.17g" gives the bytes of fmt for every float, nan and inf too
         line = ",".join(["%.17g"] * rows.shape[1])
         for i in range(0, rows.shape[0], CSV_BLOCK_ROWS):
             block = rows[i:i + CSV_BLOCK_ROWS]
             lines.append("\n".join([line] * len(block)) % tuple(block.ravel().tolist()))
         rows = ()
     for row in rows:
-        row = tuple(row)
-        if all(isinstance(v, (float, np.floating)) for v in row):
-            # "%.17g" gives the bytes of fmt for every float, nan and inf too
-            lines.append(",".join(["%.17g"] * len(row)) % row)
-        else:
-            lines.append(",".join(fmt(v) for v in row))
+        lines.append(",".join(fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path
 

@@ -311,6 +311,20 @@ def _track_pair(d, e, dJ, norm, prev_eigs, prev_pair, overlap_min):
 WEIGHT_TIE_RTOL = 1e-9
 
 
+def _first_pair(weight: np.ndarray, re_e: np.ndarray) -> list:
+    """Two mode indices, taken one at a time: of the modes left whose
+    weight is within ``WEIGHT_TIE_RTOL * weight.max()`` of the largest
+    weight left, the one with the lowest Re E."""
+    tol = WEIGHT_TIE_RTOL * weight.max()
+    left = weight.astype(float)
+    pair = []
+    for _ in range(2):
+        near = np.flatnonzero(left >= left.max() - tol)
+        pair.append(int(near[np.argmin(re_e[near])]))
+        left[pair[-1]] = -np.inf
+    return pair
+
+
 def ep_sweep(
     base: LatticeSpec,
     J_range: Sequence[float],
@@ -324,8 +338,9 @@ def ep_sweep(
     nearest-neighbour matrix, so the dimensionless loss of each domain
     shrinks as J grows. At the smallest J a full ``eig_full`` selects the
     two modes with the largest weight on the interface cell and the outer
-    cell of the second domain; of modes whose weights agree within
-    ``WEIGHT_TIE_RTOL``, the one with lower Re E is taken. At each later J
+    cell of the second domain, one at a time; of the modes whose weight is
+    within ``WEIGHT_TIE_RTOL`` of the largest one left, the one with the
+    lowest Re E is taken. At each later J
     every tracked mode r is first predicted to first order,
     lambda_pred = lambda_prev + 2 dJ sum_i r_i r_(i+1) / r^T r, and then
     refined by a c-product Rayleigh-quotient iteration from
@@ -374,9 +389,7 @@ def ep_sweep(
             vr = spec.right_vectors
             if prev_pair is None:
                 weight = (np.abs(vr[sel_sites, :]) ** 2).sum(axis=0)
-                pair_idx = spectrum_order(
-                    -weight + 1j * spec.eigenvalues.real, WEIGHT_TIE_RTOL * weight.max()
-                )[:2]
+                pair_idx = _first_pair(weight, spec.eigenvalues.real)
             else:
                 pair_idx = _joint_overlap_pair(prev_pair, vr, J, overlap_min)
             prev_pair = vr[:, pair_idx]

@@ -65,7 +65,7 @@ def test_float_rows_keep_the_bytes_of_fmt(tmp_path):
     floats = 10.0 ** rng.uniform(-300, 300, (20, 7)) * rng.choice([-1, 1], (20, 7))
     floats[0, :4] = [np.nan, np.inf, -np.inf, -0.0]
     rows = [list(r) for r in floats] + [[0.5, np.float32(0.1), np.float64(2.0)]]
-    # one non-float cell sends a row through fmt
+    # rows of mixed cell types
     rows += [[1.5, True], [1.5, 10**20], [1.5, 1 + 2j], [1.5, np.bool_(False)], [1.5, "a"]]
     text = write_csv(tmp_path / "f.csv", ["h"], rows).read_text()
     expected = ["h"] + [",".join(fmt(v) for v in row) for row in rows]

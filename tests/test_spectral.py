@@ -17,6 +17,7 @@ from nhlattice.lattice import (
 from nhlattice.spectral import (
     eig_full,
     ep_sweep,
+    _first_pair,
     _rayleigh_quotient_iteration,
     find_zero_modes,
 )
@@ -429,6 +430,14 @@ class TestEPSweepTracking:
         first = ep_sweep(base, np.arange(0.04, 0.12001, 0.001)).pair_eigenvalues[0]
         assert np.abs(first - low).min() <= 1e-12 * np.linalg.norm(hopping_chain(base, 0.04))
         assert np.abs(first - high).min() > 0.01
+
+        # weights w, w - 0.8 tol, w - 1.6 tol do not chain into one tie: the
+        # third is farther than tol from the largest, so its lower Re E
+        # does not win the first pick
+        tol = 1e-9
+        weight = np.array([0.3, 1.0, 1.0 - 0.8 * tol, 1.0 - 1.6 * tol])
+        assert _first_pair(weight, np.array([-5.0, 3.0, 2.0, 1.0])) == [2, 1]
+        assert _first_pair(weight, np.array([-5.0, 1.0, 2.0, 3.0])) == [1, 2]
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestEPSweep:
