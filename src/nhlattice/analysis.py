@@ -8,14 +8,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import least_squares
 
-from .errors import ConfigurationError, FitError, PhaseRequiredError
-from .lattice import (
-    LatticeSpec,
-    LossPattern,
-    chain_matrix,
-    interface_lattice,
-    real_space_hamiltonian,
-)
+from .errors import ConfigurationError, FitError
+from .lattice import LossPattern, chain_matrix, interface_lattice, real_space_hamiltonian
 from .propagation import FieldEvolution
 from .spectral import eig_full
 
@@ -77,8 +71,8 @@ def momentum_spectrum(
     """2D discrete Fourier transform of the complex field over (x, z).
 
     With the evolution convention a ~ exp(i*beta*z) the longitudinal peak of
-    a mode sits at kz = Re(beta) + Re(E). Requires complex amplitudes, at
-    least 8 sites and 64 z samples.
+    a mode sits at kz = Re(beta) + Re(E). Requires at least 8 sites and 64
+    z samples.
 
     The transform runs along x once, then along z for ``_KX_BLOCK`` kx
     columns at a time, whose power goes straight into both zones of the
@@ -86,10 +80,6 @@ def momentum_spectrum(
     field, its x transform (n_z * pad * n_x complex values) and one block of
     the z transform at a time, never the whole padded transform.
     """
-    if not field.has_phase:
-        raise PhaseRequiredError(
-            "momentum spectrum needs complex amplitudes, not intensities"
-        )
     n_z, n_x = field.amplitudes.shape
     if n_x < 8:
         raise ConfigurationError("momentum spectrum needs at least 8 sites")
@@ -144,8 +134,8 @@ class DecayFit:
     r_squared: Tuple[float, ...]
 
 
-def default_fit_ranges(z_max: float, end: float = DECAY_FIT_END):
-    stop = min(end, float(z_max))
+def default_fit_ranges(z_max: float):
+    stop = min(DECAY_FIT_END, float(z_max))
     return tuple((s, stop) for s in DECAY_FIT_STARTS if s < stop)
 
 
@@ -365,18 +355,11 @@ def interface_vs_defect(
     near-ties within 1 percent as ambiguous.
     """
     results = []
-    base = LatticeSpec(
-        n_sites=4, hopping_J=J, spacing_d=spacing_d,
-        pattern=LossPattern.lossless(), re_beta=0.0,
-    )
     for g2 in g2_values:
         g2 = float(g2)
         iface = interface_lattice(
-            LossPattern.trivial(g2),
-            LossPattern.topological(g2),
-            n_cells_per_side,
-            n_cells_per_side,
-            base,
+            LossPattern.trivial(g2), LossPattern.topological(g2),
+            n_cells_per_side, n_cells_per_side, J, spacing_d, re_beta=0.0,
         )
         spec_i = eig_full(real_space_hamiltonian(iface))
         w_if = np.abs(spec_i.right_vectors[iface.interface_index - 1, :]) ** 2

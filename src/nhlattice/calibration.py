@@ -8,6 +8,7 @@ regime of the hopping sweep, and is tagged as such.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -145,13 +146,24 @@ def fit_curve(
     )
 
 
+def _is_num(v) -> bool:
+    """A finite JSON number: json.loads accepts NaN and Infinity, and a JSON
+    integer may exceed every float; none of them is a usable input."""
+    return (
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+        and abs(v) <= sys.float_info.max
+    )
+
+
 def load_points(path) -> Tuple[Tuple[Tuple[float, float], ...], Tuple[str, ...]]:
-    """Read a calibration file: a JSON list of {x, y, units?, provenance?}."""
+    """Read a calibration file: a JSON list of {x, y, units?, provenance?},
+    with x and y finite JSON numbers."""
     import json
 
     try:
-        entries = json.loads(open(path, encoding="utf-8").read())
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, encoding="utf-8") as fh:
+            entries = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
         raise ConfigurationError(f"cannot read calibration file {path}: {exc}")
     if not isinstance(entries, list):
         raise ConfigurationError("calibration file must hold a JSON list")
@@ -162,6 +174,11 @@ def load_points(path) -> Tuple[Tuple[Tuple[float, float], ...], Tuple[str, ...]]
         unknown = set(entry) - {"x", "y", "units", "provenance"}
         if unknown:
             raise ConfigurationError(f"calibration entry {i}: unknown field {unknown}")
+        for key in ("x", "y"):
+            if not _is_num(entry[key]):
+                raise ConfigurationError(
+                    f"calibration entry {i}: {key} must be a finite number"
+                )
         points.append((float(entry["x"]), float(entry["y"])))
         provenance.append(str(entry.get("provenance", "user")))
     return tuple(points), tuple(provenance)

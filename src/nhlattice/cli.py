@@ -36,6 +36,7 @@ import scipy
 from . import __version__, analysis, calibration, propagation, serialization, spectral
 from . import symmetry as symmetry_mod
 from . import topology
+from .calibration import _is_num
 from .errors import ConfigurationError, NumericalError
 from .lattice import (
     DEFAULT_RE_BETA,
@@ -67,14 +68,6 @@ class Rule(NamedTuple):
 
 
 REQUIRED = object()
-
-
-def _is_num(v) -> bool:
-    # json.loads accepts NaN and Infinity; neither is a usable input
-    return (
-        isinstance(v, (int, float)) and not isinstance(v, bool)
-        and abs(v) <= sys.float_info.max
-    )
 
 
 def _int(lo: Optional[int] = None) -> Rule:
@@ -313,12 +306,8 @@ def build_lattice(lat: dict, derived: dict) -> LatticeSpec:
         iface = lat["interface"]
         left = _loss_pattern(iface["left"], hop, derived, "lattice.interface.left")
         right = _loss_pattern(iface["right"], hop, derived, "lattice.interface.right")
-        base = LatticeSpec(
-            n_sites=4, hopping_J=hop, spacing_d=d,
-            pattern=LossPattern.lossless(), re_beta=re_beta,
-        )
         spec = interface_lattice(
-            left, right, iface["n_left_cells"], iface["n_right_cells"], base
+            left, right, iface["n_left_cells"], iface["n_right_cells"], hop, d, re_beta
         )
     else:
         pattern = _loss_pattern(lat["pattern"], hop, derived, "lattice.pattern")
@@ -456,13 +445,13 @@ def _run_winding(c, out_dir: Path, derived: dict):
     k_grid = params["k_grid_size"]
     if params["g2_values"] is not None:
         rows = topology.winding_phase_diagram(
-            params["g2_values"], hop, lat["spacing_d"],
+            params["g2_values"], lat["spacing_d"],
             k_grid_size=k_grid, exclusion=params["exclusion"],
         )
         summary = {"n_points": len(rows)}
     else:
         pattern = _loss_pattern(lat["pattern"], hop, derived, "lattice.pattern")
-        res = topology.winding_number(pattern, hop, lat["spacing_d"], k_grid_size=k_grid)
+        res = topology.winding_number(pattern, lat["spacing_d"], k_grid_size=k_grid)
         rows = [(pattern.g2, res.W, res.quantization_residual)]
         summary = {"W": res.W, "residual": res.quantization_residual}
     outputs = [serialization.write_csv(
@@ -642,6 +631,10 @@ def _check_scan(c, path: str, name: str) -> float:
 def _check_ep_sweep(c, path: str):
     if _check_scan(c, path, "j") <= 0.5:
         raise ConfigError(f"{path}.params", "the J scan needs at least two values")
+    try:
+        spectral.require_interface(build_lattice(c["lattice"], {}))
+    except ConfigurationError as exc:
+        raise ConfigError(f"{path}.lattice.interface", str(exc)) from None
 
 
 def _check_interface_compare(c, path: str):
@@ -656,6 +649,11 @@ def _check_interface_compare(c, path: str):
 
 def _check_calibrate(c, path: str):
     params = c["params"]
+    if params["points_file"] is not None:
+        try:
+            calibration.load_points(params["points_file"])
+        except ConfigurationError as exc:
+            raise ConfigError(f"{path}.params.points_file", str(exc)) from None
     builtin = params["points_file"] is None and params["points"] == "builtin"
     if builtin and params["kind"] not in _BUILTIN_CURVES:
         raise ConfigError(

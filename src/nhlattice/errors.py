@@ -27,7 +27,3 @@ class StepSizeError(NumericalError):
 
 class FitError(NumericalError):
     """Curve fit rejected all data or failed to converge."""
-
-
-class PhaseRequiredError(ConfigurationError):
-    """The operation needs complex field amplitudes, not just intensities."""

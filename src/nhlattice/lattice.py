@@ -178,23 +178,18 @@ class LatticeSpec:
         ]
         return np.concatenate(parts)
 
-    def single_pattern(self) -> LossPattern:
-        if not self.is_uniform:
-            raise ConfigurationError("operation requires a single-domain lattice")
-        return self.pattern
 
-
-def bloch_hamiltonian(k: float, spec: LatticeSpec, units: str = "J") -> np.ndarray:
-    """4x4 Bloch matrix of the infinite lattice at wave number ``k`` (1/um).
+def bloch_hamiltonian(k: float, pattern: LossPattern, d: float) -> np.ndarray:
+    """4x4 Bloch matrix, in units of J, of the infinite lattice of
+    ``pattern`` with site spacing ``d`` (um) at wave number ``k`` (1/um).
 
     The corner entries carry the cell-periodic phases ``exp(-4ikd)`` and
     ``exp(+4ikd)``, so the matrix is periodic in k with period pi/(2d).
-    ``units='J'`` returns the dimensionless matrix; ``units='1/um'`` scales
-    by ``hopping_J``. The uniform ``re_beta`` offset is not included: it
-    shifts all bands identically and carries no band-structure information.
+    Multiply by J for 1/um. The uniform ``re_beta`` offset is not included:
+    it shifts all bands identically and carries no band-structure
+    information.
     """
-    pattern = spec.single_pattern()
-    phase = np.exp(4j * k * spec.spacing_d)
+    phase = np.exp(4j * k * d)
     h = np.array(
         [
             [0, 1, 0, 1 / phase],
@@ -205,11 +200,7 @@ def bloch_hamiltonian(k: float, spec: LatticeSpec, units: str = "J") -> np.ndarr
         dtype=complex,
     )
     h[np.diag_indices(4)] = cell_diagonal(pattern)
-    if units == "J":
-        return h
-    if units == "1/um":
-        return h * spec.hopping_J
-    raise ConfigurationError(f"unknown units {units!r}")
+    return h
 
 
 def chain_matrix(beta: np.ndarray, J: float) -> np.ndarray:
@@ -236,21 +227,24 @@ def interface_lattice(
     right: LossPattern,
     n_left_cells: int,
     n_right_cells: int,
-    spec: LatticeSpec,
+    hopping_J: float,
+    spacing_d: float,
+    re_beta: float = DEFAULT_RE_BETA,
 ) -> LatticeSpec:
-    """Join two loss domains into one chain, recording the interface site.
+    """Join two loss domains into one chain of hopping ``hopping_J`` (1/um),
+    site spacing ``spacing_d`` (um) and uniform ``re_beta`` (1/um),
+    recording the interface site.
 
     The interface site is the first site of the first right-domain cell,
-    1-based. Hopping, spacing and ``re_beta`` are taken from ``spec``.
+    1-based. Equal domains are joined too, into a uniform chain.
     """
     if n_left_cells < 1 or n_right_cells < 1:
         raise ConfigurationError("both interface domains need at least one cell")
-    n_sites = SITES_PER_CELL * (n_left_cells + n_right_cells)
     return LatticeSpec(
-        n_sites=n_sites,
-        hopping_J=spec.hopping_J,
-        spacing_d=spec.spacing_d,
+        n_sites=SITES_PER_CELL * (n_left_cells + n_right_cells),
+        hopping_J=hopping_J,
+        spacing_d=spacing_d,
         pattern=((left, n_left_cells), (right, n_right_cells)),
-        re_beta=spec.re_beta,
+        re_beta=re_beta,
         interface_index=SITES_PER_CELL * n_left_cells + 1,
     )

@@ -100,35 +100,23 @@ class Excitation:
         return cls(kind=kind, site=resolved, amplitude=complex(amplitude))
 
 
-def _intensity(amps: np.ndarray) -> np.ndarray:
-    return np.abs(amps) ** 2 if np.iscomplexobj(amps) else np.asarray(amps)
-
-
 @dataclass(frozen=True)
 class FieldEvolution:
-    """Complex amplitudes a_j(z) on a uniform z grid.
-
-    ``amplitudes`` has shape (n_z, n_sites); a real dtype marks an
-    intensity-only record (no phases available).
-    """
+    """Complex amplitudes a_j(z) on a uniform z grid, shape (n_z, n_sites)."""
 
     z_grid: np.ndarray
     amplitudes: np.ndarray
     spec: LatticeSpec
 
-    @property
-    def has_phase(self) -> bool:
-        return np.iscomplexobj(self.amplitudes)
-
     def intensities(self, rows=slice(None)) -> np.ndarray:
         """|a_j|^2 at the z samples ``rows`` (an index or a slice; all by default)."""
-        return _intensity(self.amplitudes[rows])
+        return np.abs(self.amplitudes[rows]) ** 2
 
     def site_trace(self, site: int) -> Tuple[np.ndarray, np.ndarray]:
         """(z, intensity) at one 1-based site."""
         if not 1 <= site <= self.spec.n_sites:
             raise ConfigurationError(f"site {site} out of range")
-        return self.z_grid, _intensity(self.amplitudes[:, site - 1])
+        return self.z_grid, np.abs(self.amplitudes[:, site - 1]) ** 2
 
 
 def coupled_mode_matrix(spec: LatticeSpec) -> np.ndarray:

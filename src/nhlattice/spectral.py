@@ -9,7 +9,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigurationError, ModeTrackingError, NumericalError
-from .lattice import SITES_PER_CELL, LatticeSpec, chain_matrix
+from .lattice import SITES_PER_CELL, LatticeSpec, cell_diagonal, chain_matrix
 
 RESIDUAL_RTOL = 1e-9
 
@@ -36,10 +36,6 @@ class ComplexSpectrum:
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     condition_numbers: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return self.eigenvalues.shape[0]
 
     @property
     def left_vectors(self) -> np.ndarray:
@@ -325,6 +321,19 @@ def _first_pair(weight: np.ndarray, re_e: np.ndarray) -> list:
     return pair
 
 
+def require_interface(spec: LatticeSpec) -> None:
+    """Raise :class:`ConfigurationError` unless ``spec`` joins domains whose
+    on-site cells differ: domains with equal ``cell_diagonal`` make one
+    uniform chain, which has no interface."""
+    if spec.is_uniform or spec.interface_index is None:
+        raise ConfigurationError("an interface lattice is required")
+    first = cell_diagonal(spec.pattern[0][0])
+    if all(np.array_equal(cell_diagonal(p), first) for p, _ in spec.pattern[1:]):
+        raise ConfigurationError(
+            "both domains have the same on-site cell, so they form no interface"
+        )
+
+
 def ep_sweep(
     base: LatticeSpec,
     J_range: Sequence[float],
@@ -333,10 +342,11 @@ def ep_sweep(
     """Sweep the hopping at fixed physical loss and follow the two boundary
     modes through their coalescence.
 
-    The on-site constants beta of ``base`` are held fixed and only the
-    hopping changes, H(J) = diag(beta) + J*T with T the 0/1
-    nearest-neighbour matrix, so the dimensionless loss of each domain
-    shrinks as J grows. At the smallest J a full ``eig_full`` selects the
+    ``base`` must pass :func:`require_interface`. Its on-site constants
+    beta are held fixed and only the hopping changes, H(J) = diag(beta) +
+    J*T with T the 0/1 nearest-neighbour matrix, so the dimensionless loss
+    of each domain shrinks as J grows. At the smallest J a full
+    ``eig_full`` selects the
     two modes with the largest weight on the interface cell and the outer
     cell of the second domain, one at a time; of the modes whose weight is
     within ``WEIGHT_TIE_RTOL`` of the largest one left, the one with the
@@ -357,8 +367,7 @@ def ep_sweep(
     separation minimum of the scan, flagged when it sits at either end of
     the scan.
     """
-    if base.is_uniform or base.interface_index is None:
-        raise ConfigurationError("ep_sweep requires an interface lattice")
+    require_interface(base)
     J_values = np.asarray(sorted(float(j) for j in J_range))
     if J_values.size < 2:
         raise ConfigurationError("ep_sweep needs at least two hopping values")

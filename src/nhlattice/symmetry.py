@@ -131,13 +131,13 @@ def check_symmetries(
     k_samples: Sequence[float],
     case: str = CASE_NONTRIVIAL,
     h_builder: Optional[Callable[[float], np.ndarray]] = None,
-    tol: float = RESIDUAL_TOL,
 ) -> SymmetryReport:
     """Evaluate the three symmetry relations on a list of Bloch phases.
 
     Residuals are the worst Frobenius norms over all samples and all three
-    generator matrices. ``h_builder`` overrides the Hamiltonian part (used
-    for symmetry-breaking controls); D and P always follow ``case``.
+    generator matrices; a relation holds below ``RESIDUAL_TOL``.
+    ``h_builder`` overrides the Hamiltonian part (used for symmetry-breaking
+    controls); D and P always follow ``case``.
     """
     u_t = time_reversal_unitary(case)
     u_c = charge_conjugation_unitary(case)
@@ -172,7 +172,7 @@ def check_symmetries(
             np.linalg.norm(u_s @ p.conj().T @ u_s.conj().T - p),
         )
 
-    holds_t, holds_c, holds_s = res_t < tol, res_c < tol, res_s < tol
+    holds_t, holds_c, holds_s = res_t < RESIDUAL_TOL, res_c < RESIDUAL_TOL, res_s < RESIDUAL_TOL
     if holds_t and holds_c and holds_s:
         label = "BDI"
     elif holds_s:

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ConfigurationError, GaplessSpectrumError
-from .lattice import LatticeSpec, LossPattern, bloch_hamiltonian
+from .lattice import LossPattern, bloch_hamiltonian
 
 #: Minimum inter-doublet separation in Re E, units of J.
 GAP_MIN = 1e-8
@@ -71,27 +71,27 @@ def _cluster_bases(h: np.ndarray) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
 
 def winding_number(
     pattern: LossPattern,
-    J: float,
     d: float,
     k_grid_size: int = 128,
 ) -> WindingResult:
     """Winding number of the loss pattern from a discretized Wilson loop.
 
-    ``k_grid_size`` points over the reduced zone of length pi/(2d). Raises
+    ``k_grid_size`` points k = m * pi/(2d) / k_grid_size over the reduced
+    zone of the lattice with site spacing ``d`` (um). The Bloch matrix is
+    taken in units of J, so W does not depend on the hopping. Raises
     :class:`GaplessSpectrumError` when the Re E gap between the doublets
     falls below ``GAP_MIN`` anywhere on the grid.
     """
     if k_grid_size < 16:
         raise ConfigurationError("k_grid_size must be at least 16")
-    spec = LatticeSpec(
-        n_sites=4, hopping_J=J, spacing_d=d, pattern=pattern, re_beta=0.0
-    )
+    if not (np.isfinite(d) and d > 0):
+        raise ConfigurationError("spacing d must be finite and > 0")
     dk = (np.pi / (2.0 * d)) / k_grid_size
 
     bases: List[Tuple] = []
     gap = np.inf
     for m in range(k_grid_size):
-        h = bloch_hamiltonian(m * dk, spec, units="J")
+        h = bloch_hamiltonian(m * dk, pattern, d)
         re = np.sort(np.linalg.eigvals(h).real)
         gap = min(gap, re[2] - re[1])
         if gap <= GAP_MIN:
@@ -126,7 +126,6 @@ def winding_number(
 
 def winding_phase_diagram(
     g_values: Sequence[float],
-    J: float,
     d: float,
     k_grid_size: int = 128,
     exclusion: float = 0.05,
@@ -145,6 +144,6 @@ def winding_phase_diagram(
             if g2 > 0
             else LossPattern.trivial(abs(g2))
         )
-        res = winding_number(pattern, J, d, k_grid_size=k_grid_size)
+        res = winding_number(pattern, d, k_grid_size=k_grid_size)
         rows.append((float(g2), res.W, res.quantization_residual))
     return rows

@@ -45,12 +45,8 @@ def uniform(pattern, n_sites=40, re_beta=0.0):
 
 
 def ii_iii(g, n_cells=6, J_hop=J, d=D, re_beta=0.0):
-    base = LatticeSpec(
-        n_sites=4, hopping_J=J_hop, spacing_d=d,
-        pattern=LossPattern.lossless(), re_beta=re_beta,
-    )
     return interface_lattice(
-        LossPattern.trivial(g), LossPattern.topological(g), n_cells, n_cells, base
+        LossPattern.trivial(g), LossPattern.topological(g), n_cells, n_cells, J_hop, d, re_beta
     )
 
 
@@ -76,12 +72,12 @@ def test_criterion_01_zero_modes():
 
 def test_criterion_02_winding_quantization():
     c = _Criterion(2, 5.0)
-    w1 = nh.winding_number(LossPattern.topological(1.1), J, D, k_grid_size=128)
-    w0 = nh.winding_number(LossPattern.trivial(1.1), J, D, k_grid_size=128)
+    w1 = nh.winding_number(LossPattern.topological(1.1), D, k_grid_size=128)
+    w0 = nh.winding_number(LossPattern.trivial(1.1), D, k_grid_size=128)
     assert abs(w1.W - 1.0) < 1e-6 and w1.quantization_residual < 1e-6
     assert abs(w0.W - 0.0) < 1e-6 and w0.quantization_residual < 1e-6
-    w1_fine = nh.winding_number(LossPattern.topological(1.1), J, D, k_grid_size=256)
-    w0_fine = nh.winding_number(LossPattern.trivial(1.1), J, D, k_grid_size=256)
+    w1_fine = nh.winding_number(LossPattern.topological(1.1), D, k_grid_size=256)
+    w0_fine = nh.winding_number(LossPattern.trivial(1.1), D, k_grid_size=256)
     assert abs(w1.W - w1_fine.W) < 1e-8
     assert abs(w0.W - w0_fine.W) < 1e-8
     c.finish(
@@ -131,7 +127,7 @@ def test_criterion_05_momentum_spectra():
     lo_max, up_min = -np.inf, np.inf
     for k in np.linspace(0, np.pi / (2 * D), 128, endpoint=False):
         re = np.sort(
-            np.linalg.eigvals(nh.bloch_hamiltonian(k, spec_ii, units="1/um")).real
+            np.linalg.eigvals(J * nh.bloch_hamiltonian(k, spec_ii.pattern, D)).real
         )
         lo_max, up_min = max(lo_max, re[1]), min(up_min, re[2])
     gap = up_min - lo_max

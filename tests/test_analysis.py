@@ -12,7 +12,7 @@ from nhlattice.analysis import (
     momentum_spectrum,
 )
 from nhlattice.calibration import default_hopping_curve
-from nhlattice.errors import ConfigurationError, FitError, PhaseRequiredError
+from nhlattice.errors import ConfigurationError, FitError
 from nhlattice.lattice import LatticeSpec, LossPattern, interface_lattice
 from nhlattice.propagation import Excitation, FieldEvolution, propagate
 
@@ -27,12 +27,8 @@ def lattice(pattern, n_sites=48, re_beta=6.6):
 
 
 def ii_iii_interface(g, n_cells=6, re_beta=0.0):
-    base = LatticeSpec(
-        n_sites=4, hopping_J=J, spacing_d=D,
-        pattern=LossPattern.lossless(), re_beta=re_beta,
-    )
     return interface_lattice(
-        LossPattern.trivial(g), LossPattern.topological(g), n_cells, n_cells, base
+        LossPattern.trivial(g), LossPattern.topological(g), n_cells, n_cells, J, D, re_beta
     )
 
 
@@ -43,14 +39,6 @@ def edge_field_iii():
 
 
 class TestMomentumSpectrum:
-    def test_requires_phases(self):
-        spec = lattice(LossPattern.lossless(), n_sites=8)
-        field = FieldEvolution(
-            z_grid=np.arange(100) * 0.01, amplitudes=np.ones((100, 8)), spec=spec
-        )
-        with pytest.raises(PhaseRequiredError):
-            momentum_spectrum(field)
-
     def test_minimum_grid_sizes(self):
         spec = lattice(LossPattern.lossless(), n_sites=4)
         field = propagate(spec, Excitation.resolve("edge", spec), z_max=10.0, dz=0.1)
@@ -187,12 +175,8 @@ class TestFitDecay:
         assert ells[0] < ells[1] < ells[2]
 
     def test_lossless_trace_flags_non_exponential(self):
-        base = LatticeSpec(
-            n_sites=4, hopping_J=J, spacing_d=D,
-            pattern=LossPattern.lossless(), re_beta=0.0,
-        )
         iface = interface_lattice(
-            LossPattern.lossless(), LossPattern.lossless(), 6, 6, base
+            LossPattern.lossless(), LossPattern.lossless(), 6, 6, J, D, re_beta=0.0
         )
         field = propagate(iface, Excitation.resolve("interface", iface), z_max=100.0)
         z, trace = field.site_trace(iface.interface_index)
@@ -249,12 +233,8 @@ class TestFitOscillation:
         for d in (1.8, 1.4):
             j_hop = float(curve.predict(d))
             g = 0.1 / (2 * j_hop)
-            base = LatticeSpec(
-                n_sites=4, hopping_J=j_hop, spacing_d=d,
-                pattern=LossPattern.lossless(), re_beta=0.0,
-            )
             iface = interface_lattice(
-                LossPattern.trivial(g), LossPattern.topological(g), 5, 5, base
+                LossPattern.trivial(g), LossPattern.topological(g), 5, 5, j_hop, d, re_beta=0.0
             )
             field = propagate(iface, Excitation.resolve("edge", iface), z_max=100.0)
             z, trace = field.site_trace(1)
@@ -266,12 +246,8 @@ class TestFitOscillation:
         # mode-dominated and the fitted frequency collapses to zero
         j_hop = float(default_hopping_curve().predict(1.8))
         g = 0.1 / (2 * j_hop)
-        base = LatticeSpec(
-            n_sites=4, hopping_J=j_hop, spacing_d=1.8,
-            pattern=LossPattern.lossless(), re_beta=0.0,
-        )
         iface = interface_lattice(
-            LossPattern.trivial(g), LossPattern.topological(g), 5, 5, base
+            LossPattern.trivial(g), LossPattern.topological(g), 5, 5, j_hop, 1.8, re_beta=0.0
         )
         field = propagate(iface, Excitation.resolve("interface", iface), z_max=100.0)
         z, trace = field.site_trace(iface.interface_index)

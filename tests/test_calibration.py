@@ -132,3 +132,16 @@ class TestCalibrationFiles:
         path.write_text("{}")
         with pytest.raises(ConfigurationError):
             load_points(path)
+        path.write_bytes(b"\xff")  # not UTF-8
+        with pytest.raises(ConfigurationError):
+            load_points(path)
+
+    @pytest.mark.parametrize(
+        "value", ["1.0", True, [1.0], None, float("nan"), float("inf"), 10**400],
+        ids=["string", "bool", "list", "null", "nan", "inf", "huge_int"],
+    )
+    def test_non_numbers_rejected_by_index(self, tmp_path, value):
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps([{"x": 1.0, "y": 2.0}, {"x": 1.5, "y": value}]))
+        with pytest.raises(ConfigurationError, match="entry 1: y must be a finite number"):
+            load_points(path)

@@ -144,6 +144,19 @@ CONFIG_ONLY_ERRORS = {
         {"run": "calibrate", "params": {"kind": "generic", "points": "builtin"}},
         "config.params.kind",
     ),
+    # equal domains make one uniform chain, whose two degenerate outer edge
+    # modes an ep-sweep would report as a coalescence at the scan edge
+    "ep_identical_domains": (
+        {"run": "ep-sweep", "lattice": dict(IFACE, interface={
+            "n_left_cells": 6, "n_right_cells": 6,
+            "left": {"phase": "III", "g": 1.1}, "right": {"phase": "III", "g": 1.1}})},
+        "config.lattice.interface",
+    ),
+    "ep_lossless_shorthand": (
+        {"run": "ep-sweep", "lattice": dict(IFACE, interface={
+            "n_left_cells": 6, "n_right_cells": 6, "im_beta": 0})},
+        "config.lattice.interface",
+    ),
 }
 
 
@@ -235,6 +248,28 @@ class TestValidation:
         for command in ("validate", "run"):
             assert main([command, path]) == 2
             assert f"error: {json_path}:" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("entries, message", [
+        ([{"x": 1.0, "y": 2.0}, {"x": "a", "y": 1}], "entry 1: x"),
+        ([{"x": [1], "y": 1}], "entry 0: x"),
+        ([{"x": 1.0, "y": float("nan")}], "entry 0: y"),
+        (None, "cannot read"),
+    ], ids=["x_string", "x_list", "y_nan", "missing_file"])
+    def test_points_file_errors_stop_validate_and_run(self, tmp_path, capsys, entries, message):
+        points = tmp_path / "points.json"
+        if entries is not None:
+            points.write_text(json.dumps(entries))  # writes NaN as a bare NaN
+        cfg = {
+            "run": "calibrate", "output_dir": str(tmp_path / "out"),
+            "params": {"model": "linear_through_origin", "points_file": str(points)},
+        }
+        path = write_config(tmp_path, cfg)
+        for command in ("validate", "run"):
+            assert main([command, path]) == 2
+            err = capsys.readouterr().err
+            assert "error: config.params.points_file:" in err
+            assert message in err
             assert not (tmp_path / "out").exists()
 
     @settings(deadline=None, max_examples=150,
@@ -464,6 +499,53 @@ class TestRunTypes:
         record = json.loads((tmp_path / "out" / "fit.json").read_text())
         assert record["fit"] == "decay"
         assert record["ell"] > 0
+
+
+class TestRunnerOptions:
+    """Runner branches that no bundled config reaches."""
+
+    def test_spectrum_vectors_follow_spectrum_rows(self, tmp_path):
+        cfg = spectrum_config(tmp_path, params={"include_vectors": True})
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
+        out = tmp_path / "out"
+        rows = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)
+        table = np.loadtxt(out / "vectors.csv", delimiter=",", skiprows=1)
+        assert table.shape == (40, 80)
+        vectors = table[:, 0::2] + 1j * table[:, 1::2]
+        spec = LatticeSpec(n_sites=40, hopping_J=0.045, spacing_d=1.4,
+                           pattern=LossPattern.topological(1.1), re_beta=0.0)
+        result = eig_full(real_space_hamiltonian(spec))
+        for k, (_, re, im, cond) in enumerate(rows):
+            (i,) = np.flatnonzero(result.eigenvalues == complex(re, im))
+            assert np.array_equal(vectors[:, k], result.right_vectors[:, i])
+            assert cond == result.condition_numbers[i]
+
+    def test_saved_amplitudes_match_intensities(self, tmp_path):
+        cfg = beam("propagate", {"z_max": 5.0, "save_amplitudes": True, "save_every": 7})
+        cfg["output_dir"] = str(tmp_path / "out")
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
+        out = tmp_path / "out"
+        intensity = np.loadtxt(out / "intensity.csv", delimiter=",", skiprows=1)
+        amplitudes = np.loadtxt(out / "amplitudes.csv", delimiter=",", skiprows=1)
+        assert intensity.shape == (72, 13)  # z samples 0, 7, ..., 497 of 501
+        assert amplitudes.shape == (72, 25)
+        assert np.array_equal(amplitudes[:, 0], intensity[:, 0])
+        assert np.allclose(intensity[:, 0], 0.07 * np.arange(72), rtol=0, atol=1e-12)
+        power = amplitudes[:, 1::2] ** 2 + amplitudes[:, 2::2] ** 2
+        assert np.abs(power - intensity[:, 1:]).max() <= 1e-15
+
+    def test_momentum_exports_the_configured_kz_window(self, tmp_path):
+        cfg = beam("momentum", {"z_max": 40.0, "kz_window": [6.5, 6.75]})
+        cfg["output_dir"] = str(tmp_path / "out")
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
+        out = tmp_path / "out"
+        power = np.loadtxt(out / "power.csv", delimiter=",", skiprows=1)
+        kz = power[:, 0]
+        assert kz.size > 1
+        assert np.all((kz >= 6.5) & (kz <= 6.75))
+        axes = json.loads((out / "axes.json").read_text())
+        assert axes["kz_window"] == [6.5, 6.75]
+        assert np.array_equal(axes["kz"], kz)
 
 
 class TestSpectrumOrder:

@@ -3,6 +3,7 @@ import pytest
 
 from nhlattice.errors import ConfigurationError
 from nhlattice.lattice import (
+    DEFAULT_RE_BETA,
     LatticeSpec,
     LossPattern,
     bloch_hamiltonian,
@@ -85,8 +86,7 @@ class TestLossPattern:
 
 class TestBlochHamiltonian:
     def test_lossless_k0_structure(self):
-        spec = uniform_spec(LossPattern.lossless(), n_sites=4)
-        h = bloch_hamiltonian(0.0, spec)
+        h = bloch_hamiltonian(0.0, LossPattern.lossless(), D)
         expected = np.array(
             [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]],
             dtype=complex,
@@ -96,9 +96,8 @@ class TestBlochHamiltonian:
     def test_lossless_dispersion_folds_uniform_chain(self):
         # oracle: the uniform-chain band 2J*cos(q d) folded into the 4-site
         # zone gives 2J*cos(k d + m*pi/2), m = 0..3
-        spec = uniform_spec(LossPattern.lossless(), n_sites=4)
         for k in (0.1, 0.37, 0.9):
-            h = bloch_hamiltonian(k, spec, units="1/um")
+            h = J * bloch_hamiltonian(k, LossPattern.lossless(), D)
             got = np.sort(np.linalg.eigvals(h).real)
             expected = np.sort([2 * J * np.cos(k * D + m * np.pi / 2) for m in range(4)])
             assert np.allclose(got, expected, atol=1e-12)
@@ -108,33 +107,18 @@ class TestBlochHamiltonian:
         pattern = (
             LossPattern.lossless() if g0 == 0 else LossPattern.from_g(g0, g0, g0)
         )
-        spec = uniform_spec(pattern, n_sites=4)
         for k in (0.0, 0.23, 1.1):
-            h = bloch_hamiltonian(k, spec, units="1/um")
+            h = J * bloch_hamiltonian(k, pattern, D)
             assert np.isclose(np.trace(h), -4j * J * g0, atol=1e-15)
 
     def test_zone_periodicity_of_eigenvalues(self):
-        spec = uniform_spec(LossPattern.topological(1.1), n_sites=4)
+        pattern = LossPattern.topological(1.1)
         period = np.pi / (2 * D)
         for k in (0.05, 0.4):
-            w1 = np.linalg.eigvals(bloch_hamiltonian(k, spec))
-            w2 = np.linalg.eigvals(bloch_hamiltonian(k + period, spec))
+            w1 = np.linalg.eigvals(bloch_hamiltonian(k, pattern, D))
+            w2 = np.linalg.eigvals(bloch_hamiltonian(k + period, pattern, D))
             for val in w1:
                 assert np.min(np.abs(w2 - val)) < 1e-10
-
-    def test_units_scaling(self):
-        spec = uniform_spec(LossPattern.topological(0.7), n_sites=4)
-        h_j = bloch_hamiltonian(0.2, spec, units="J")
-        h_um = bloch_hamiltonian(0.2, spec, units="1/um")
-        assert np.allclose(h_um, J * h_j)
-
-    def test_interface_lattice_has_no_bloch_form(self):
-        base = uniform_spec(LossPattern.lossless(), n_sites=4)
-        iface = interface_lattice(
-            LossPattern.trivial(1.1), LossPattern.topological(1.1), 2, 2, base
-        )
-        with pytest.raises(ConfigurationError):
-            bloch_hamiltonian(0.0, iface)
 
 
 class TestRealSpaceHamiltonian:
@@ -199,19 +183,17 @@ class TestRealSpaceHamiltonian:
 
 
 class TestInterfaceLattice:
-    def base(self):
-        return uniform_spec(LossPattern.lossless(), n_sites=4)
-
     def test_sites_and_interface_index(self):
         iface = interface_lattice(
-            LossPattern.trivial(1.1), LossPattern.topological(1.1), 6, 6, self.base()
+            LossPattern.trivial(1.1), LossPattern.topological(1.1), 6, 6, J, D
         )
         assert iface.n_sites == 48
         assert iface.interface_index == 25
+        assert (iface.hopping_J, iface.spacing_d, iface.re_beta) == (J, D, DEFAULT_RE_BETA)
 
     def test_lossless_join_equals_uniform_chain(self):
         iface = interface_lattice(
-            LossPattern.lossless(), LossPattern.lossless(), 3, 3, self.base()
+            LossPattern.lossless(), LossPattern.lossless(), 3, 3, J, D, re_beta=0.0
         )
         h_iface = real_space_hamiltonian(iface)
         h_plain = real_space_hamiltonian(
@@ -222,7 +204,7 @@ class TestInterfaceLattice:
     def test_onsite_values_at_g07(self):
         # lossy sites carry -2*0.7*J; arithmetic oracle
         iface = interface_lattice(
-            LossPattern.trivial(0.7), LossPattern.topological(0.7), 2, 2, self.base()
+            LossPattern.trivial(0.7), LossPattern.topological(0.7), 2, 2, J, D
         )
         onsite = iface.onsite_values() * J
         lossy = np.abs(onsite.imag + 2 * 0.7 * J) < 1e-15
@@ -233,7 +215,7 @@ class TestInterfaceLattice:
     def test_zero_cells_rejected(self):
         with pytest.raises(ConfigurationError):
             interface_lattice(
-                LossPattern.trivial(1.0), LossPattern.topological(1.0), 0, 3, self.base()
+                LossPattern.trivial(1.0), LossPattern.topological(1.0), 0, 3, J, D
             )
 
 

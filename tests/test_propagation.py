@@ -9,7 +9,6 @@ from nhlattice.propagation import (
     EIGENBASIS_MAX_COND,
     STABILITY_FACTOR,
     Excitation,
-    FieldEvolution,
     _expm_evolution,
     _rk4,
     coupled_mode_matrix,
@@ -41,9 +40,8 @@ class TestExcitation:
         assert exc.site == 1
 
     def test_interface_site(self):
-        base = lattice(LossPattern.lossless(), n_sites=4)
         iface = interface_lattice(
-            LossPattern.trivial(1.1), LossPattern.topological(1.1), 6, 6, base
+            LossPattern.trivial(1.1), LossPattern.topological(1.1), 6, 6, J, D
         )
         assert Excitation.resolve("interface", iface).site == 25
 
@@ -189,12 +187,6 @@ class TestPropagate:
         with pytest.raises(ConfigurationError):
             propagate(spec, Excitation.resolve("edge", spec), method="euler")
 
-    def test_intensity_only_fields(self):
-        spec = lattice(LossPattern.lossless(), n_sites=8)
-        field = FieldEvolution(z_grid=np.array([0.0, 0.1]), amplitudes=np.ones((2, 8)), spec=spec)
-        assert not field.has_phase
-        assert np.array_equal(field.intensities(), np.ones((2, 8)))
-
     @pytest.mark.parametrize("method", ["rk4", "expm"])
     def test_intensities_of_some_rows(self, method):
         spec = lattice(LossPattern.topological(1.1), n_sites=12, re_beta=6.6)
@@ -226,8 +218,7 @@ class TestLossyPropagation:
         n_left=st.integers(1, 6), n_right=st.integers(1, 6), site=st.integers(1, 48),
     )
     def test_expm_never_gains_intensity(self, left, right, n_left, n_right, site):
-        base = lattice(LossPattern.lossless(), n_sites=4)
-        spec = interface_lattice(left, right, n_left, n_right, base)
+        spec = interface_lattice(left, right, n_left, n_right, J, D, re_beta=0.0)
         exc = Excitation.resolve("site_index", spec, site=min(site, spec.n_sites))
         totals = propagate(spec, exc, z_max=20.0, dz=0.1).intensities().sum(axis=1)
         assert np.all(totals[1:] <= totals[:-1] * (1.0 + 1e-12))
@@ -255,7 +246,7 @@ class TestRk4Stencil:
         n_left=st.integers(1, 6), n_right=st.integers(1, 6), site=st.integers(1, 48),
     )
     def test_matches_dense_rk4(self, left, right, n_left, n_right, site):
-        spec = interface_lattice(left, right, n_left, n_right, lattice(LossPattern.lossless(), n_sites=4))
+        spec = interface_lattice(left, right, n_left, n_right, J, D, re_beta=0.0)
         m_rot = coupled_mode_matrix(spec)
         dz = STABILITY_FACTOR / np.linalg.norm(m_rot, 2)
         a0 = np.zeros(spec.n_sites, dtype=complex)

@@ -33,9 +33,8 @@ def lattice(pattern, n_sites=40, re_beta=0.0):
 
 
 def ii_iii_interface(g, n_cells=6, re_beta=0.0):
-    base = lattice(LossPattern.lossless(), n_sites=4, re_beta=re_beta)
     return interface_lattice(
-        LossPattern.trivial(g), LossPattern.topological(g), n_cells, n_cells, base
+        LossPattern.trivial(g), LossPattern.topological(g), n_cells, n_cells, J, D, re_beta
     )
 
 
@@ -55,7 +54,7 @@ lattices = st.one_of(
     st.builds(lambda p, n: lattice(p, n_sites=n), patterns, st.integers(2, 48)),
     st.builds(
         lambda left, right, n_left, n_right: interface_lattice(
-            left, right, n_left, n_right, lattice(LossPattern.lossless(), n_sites=4)
+            left, right, n_left, n_right, J, D, re_beta=0.0
         ),
         patterns, patterns, st.integers(1, 6), st.integers(1, 6),
     ),
@@ -69,7 +68,7 @@ class TestComplexSymmetricDomain:
         h = real_space_hamiltonian(spec)
         assert np.array_equal(h, h.T)
         assert np.array_equal(h, np.triu(np.tril(h, 1), -1))
-        assert eig_full(h).dimension == spec.n_sites
+        assert eig_full(h).eigenvalues.shape == (spec.n_sites,)
 
     @settings(deadline=None, max_examples=25)
     @given(spec=lattices)
@@ -175,8 +174,7 @@ class TestBiorthonormalize:
     def test_bloch_matrix_overlaps(self):
         # direct overlap-matrix oracle on a cleanly diagonalizable Bloch
         # point; at k = 0 the corner phases are 1 and the matrix is symmetric
-        spec_lat = lattice(LossPattern.topological(1.1), n_sites=4)
-        h = bloch_hamiltonian(0.0, spec_lat)
+        h = bloch_hamiltonian(0.0, LossPattern.topological(1.1), D)
         spec = eig_full(h)
         overlap = spec.left_vectors.conj().T @ spec.right_vectors
         assert np.abs(overlap - np.eye(4)).max() < 1e-10
@@ -191,8 +189,7 @@ class TestBiorthonormalize:
     def test_exceptional_bloch_point_is_defective(self):
         # at g0=g1=g2=1 the k=0 Bloch matrix has two exact exceptional
         # points (double eigenvalues with one eigenvector each)
-        spec_lat = lattice(LossPattern.topological(1.0), n_sites=4)
-        h = bloch_hamiltonian(0.0, spec_lat)
+        h = bloch_hamiltonian(0.0, LossPattern.topological(1.0), D)
         spec = eig_full(h)
         assert spec.condition_numbers.max() > 1e6
 
@@ -211,12 +208,8 @@ class TestBiorthonormalize:
         # the eigenvector condition number grows without bound there
         def pair_separation(j_hop):
             g = 0.1 / (2 * j_hop)
-            base = LatticeSpec(
-                n_sites=4, hopping_J=j_hop, spacing_d=D,
-                pattern=LossPattern.lossless(), re_beta=0.0,
-            )
             iface = interface_lattice(
-                LossPattern.trivial(g), LossPattern.topological(g), 6, 6, base
+                LossPattern.trivial(g), LossPattern.topological(g), 6, 6, j_hop, D, re_beta=0.0
             )
             spec = eig_full(real_space_hamiltonian(iface))
             w = (
@@ -366,7 +359,7 @@ class TestEPSweepTracking:
     @settings(deadline=None, max_examples=6)
     @given(domains=st.one_of(symmetric_domains, asymmetric_domains))
     def test_matches_eig_full_at_every_J(self, domains):
-        base = interface_lattice(*domains, 6, 6, lattice(LossPattern.lossless(), n_sites=4))
+        base = interface_lattice(*domains, 6, 6, J, D, re_beta=0.0)
         J_values = np.arange(0.04, 0.12001, 0.002)
         try:
             pairs, conds, norms, tie = reference_sweep(base, J_values)
@@ -388,9 +381,7 @@ class TestEPSweepTracking:
     def test_sweeps_match_eig_full_at_every_J(self, left, right, J_values):
         # fig4c's sweep, the benchmark's asymmetric one, and a scan below the
         # coalescence whose minimum, at its last J, is a tracked row
-        base = interface_lattice(
-            left, right, 6, 6, lattice(LossPattern.lossless(), n_sites=4, re_beta=6.6)
-        )
+        base = interface_lattice(left, right, 6, 6, J, D, re_beta=6.6)
         pairs, conds, norms, _ = reference_sweep(base, J_values)
         assert_matches_reference(ep_sweep(base, J_values), pairs, conds, norms)
 
@@ -403,9 +394,7 @@ class TestEPSweepTracking:
         J_values = np.arange(0.04, 0.12001, 0.002)
         runs = []
         for hop in (J, J * (1.0 + kick)):
-            base = LatticeSpec(n_sites=4, hopping_J=hop, spacing_d=D,
-                               pattern=LossPattern.lossless(), re_beta=6.6)
-            runs.append(ep_sweep(interface_lattice(*domains, 6, 6, base), J_values))
+            runs.append(ep_sweep(interface_lattice(*domains, 6, 6, hop, D, re_beta=6.6), J_values))
         a, b = (r.pair_eigenvalues for r in runs)
         assert np.all(np.abs(a - b).max(axis=1) < np.abs(a - b[:, ::-1]).max(axis=1))
         assert runs[0].J_ep_estimate == runs[1].J_ep_estimate
@@ -416,7 +405,7 @@ class TestEPSweepTracking:
         # to rounding; the one with lower Re E is tracked, the other is not
         base = interface_lattice(
             LossPattern.from_g(2.0, 0.5, -1.0), LossPattern.from_g(2.0, 0.5, 1.0), 6, 6,
-            lattice(LossPattern.lossless(), n_sites=4, re_beta=6.6),
+            J, D, re_beta=6.6,
         )
         spec = eig_full(hopping_chain(base, 0.04))
         sel = list(range(24, 28)) + list(range(44, 48))
@@ -474,9 +463,14 @@ class TestEPSweep:
             assert abs(pair[0].real) < 1e-8 and abs(pair[1].real) < 1e-8
 
     def test_lossless_pattern_has_no_ep(self):
-        base = lattice(LossPattern.lossless(), n_sites=4)
+        # two lossless domains are one uniform chain: no interface to sweep
+        lossless = LossPattern.lossless()
+        with pytest.raises(ConfigurationError, match="no interface"):
+            ep_sweep(interface_lattice(lossless, lossless, 6, 6, J, D, re_beta=0.0),
+                     np.arange(0.04, 0.121, 0.004))
+        # a lossless step in Re beta is Hermitian: its pair never coalesces
         iface = interface_lattice(
-            LossPattern.lossless(), LossPattern.lossless(), 6, 6, base
+            lossless, LossPattern.custom([0.5] * 4), 6, 6, J, D, re_beta=0.0
         )
         res = ep_sweep(iface, np.arange(0.04, 0.121, 0.004))
         assert res.edge_pair_separation.min() > 1e-3 * J
@@ -484,7 +478,7 @@ class TestEPSweep:
     def test_asymmetric_domains_track_the_configured_lattice(self):
         base = interface_lattice(
             LossPattern.from_g(2.0, 0.5, -1.0), LossPattern.from_g(2.0, 0.5, 1.0), 6, 6,
-            lattice(LossPattern.lossless(), n_sites=4),
+            J, D, re_beta=0.0,
         )
         beta = base.re_beta + J * base.onsite_values()  # held fixed across the sweep
         hop = np.eye(base.n_sites, k=1) + np.eye(base.n_sites, k=-1)
@@ -509,6 +503,18 @@ class TestEPSweep:
         with pytest.raises(ConfigurationError):
             ep_sweep(lattice(LossPattern.topological(1.1)), [0.04, 0.05])
 
+    @pytest.mark.parametrize("left, right", [
+        (LossPattern.topological(1.1), LossPattern.topological(1.1)),
+        # a custom cell equal to a preset's cell_diagonal is the same domain
+        (LossPattern.topological(1.0), LossPattern.custom([0, -2j, -2j, 0])),
+    ], ids=["same-preset", "custom-equal-to-preset"])
+    def test_equal_domains_form_no_interface(self, left, right):
+        # both outer edges carry a mode, degenerate to rounding: a sweep
+        # would report that pair as a coalescence
+        iface = interface_lattice(left, right, 6, 6, J, D)
+        with pytest.raises(ConfigurationError, match="no interface"):
+            ep_sweep(iface, np.arange(0.04, 0.12001, 0.001))
+
     @pytest.mark.parametrize("J_values, overlap_min", [
         ([0.04, 0.12], 0.9),
         (np.arange(0.04, 0.06001, 0.001), 0.9999),
@@ -526,11 +532,9 @@ class TestEPSweep:
         # the shift predicted at J = 1 is beta = 0 of site 5, an exact
         # eigenvalue of diag(beta) + T whose last tridiagonal pivot is
         # exactly zero in binary arithmetic
-        base = LatticeSpec(
-            n_sites=4, hopping_J=1.0, spacing_d=D, pattern=LossPattern.lossless(), re_beta=0.0
-        )
         iface = interface_lattice(
-            LossPattern.custom([-1, -2, -4, -1]), LossPattern.custom([0, 2, 1, 4]), 1, 1, base
+            LossPattern.custom([-1, -2, -4, -1]), LossPattern.custom([0, 2, 1, 4]), 1, 1,
+            1.0, D, re_beta=0.0,
         )
         found = []
         rqi = spectral._rayleigh_quotient_iteration

@@ -8,38 +8,37 @@ from nhlattice.errors import ConfigurationError, GaplessSpectrumError
 from nhlattice.lattice import LossPattern
 from nhlattice.topology import winding_number, winding_phase_diagram
 
-J = 0.045
 D = 1.4
 
 
 class TestWindingNumber:
     def test_nontrivial_anchor(self):
-        res = winding_number(LossPattern.topological(1.0), J, D)
+        res = winding_number(LossPattern.topological(1.0), D)
         assert res.W == pytest.approx(1.0, abs=1e-6)
         assert res.quantization_residual < 1e-6
 
     def test_trivial_anchor(self):
-        res = winding_number(LossPattern.trivial(1.0), J, D)
+        res = winding_number(LossPattern.trivial(1.0), D)
         assert res.W == pytest.approx(0.0, abs=1e-6)
         assert res.quantization_residual < 1e-6
 
     def test_lossless_is_gapless(self):
         with pytest.raises(GaplessSpectrumError):
-            winding_number(LossPattern.lossless(), J, D)
+            winding_number(LossPattern.lossless(), D)
 
     def test_grid_convergence(self):
         for n in (64, 128):
-            w_n = winding_number(LossPattern.topological(1.1), J, D, k_grid_size=n).W
-            w_2n = winding_number(LossPattern.topological(1.1), J, D, k_grid_size=2 * n).W
+            w_n = winding_number(LossPattern.topological(1.1), D, k_grid_size=n).W
+            w_2n = winding_number(LossPattern.topological(1.1), D, k_grid_size=2 * n).W
             assert abs(w_n - w_2n) < 1e-8
 
     def test_grid_refinement_stability(self):
-        w_64 = winding_number(LossPattern.trivial(0.7), J, D, k_grid_size=64).W
-        w_256 = winding_number(LossPattern.trivial(0.7), J, D, k_grid_size=256).W
+        w_64 = winding_number(LossPattern.trivial(0.7), D, k_grid_size=64).W
+        w_256 = winding_number(LossPattern.trivial(0.7), D, k_grid_size=256).W
         assert w_64 == pytest.approx(w_256, abs=1e-8)
 
     def test_per_band_phases_pin_to_zero_or_pi(self):
-        res = winding_number(LossPattern.topological(1.1), J, D)
+        res = winding_number(LossPattern.topological(1.1), D)
         snapped = [min(abs(p), abs(p - np.pi)) for p in res.per_band_phase]
         assert max(snapped) < 1e-2
         assert sum(res.per_band_phase) == pytest.approx(2 * np.pi, abs=1e-8)
@@ -57,14 +56,19 @@ class TestWindingNumber:
                 out.append((right @ a, left @ b))
             return tuple(out)
 
-        w_plain = winding_number(LossPattern.topological(1.1), J, D, k_grid_size=64).W
+        w_plain = winding_number(LossPattern.topological(1.1), D, k_grid_size=64).W
         monkeypatch.setattr(topology, "_cluster_bases", gauged)
-        w_gauged = winding_number(LossPattern.topological(1.1), J, D, k_grid_size=64).W
+        w_gauged = winding_number(LossPattern.topological(1.1), D, k_grid_size=64).W
         assert abs(w_plain - w_gauged) < 1e-10
 
     def test_grid_size_floor(self):
         with pytest.raises(ConfigurationError):
-            winding_number(LossPattern.topological(1.1), J, D, k_grid_size=8)
+            winding_number(LossPattern.topological(1.1), D, k_grid_size=8)
+
+    @pytest.mark.parametrize("d", [0.0, -1.4, np.nan, np.inf])
+    def test_spacing_must_be_finite_and_positive(self, d):
+        with pytest.raises(ConfigurationError):
+            winding_number(LossPattern.topological(1.1), d)
 
 
 # the Re E gap between the doublets closes when |g1| and |g2| differ by a
@@ -81,14 +85,14 @@ class TestWindingGridIndependence:
     @settings(deadline=None, max_examples=10)
     @given(pattern=gapped_patterns, sizes=st.lists(st.integers(16, 96), min_size=2, max_size=2))
     def test_w_does_not_depend_on_k_grid_size(self, pattern, sizes):
-        w = [winding_number(pattern, J, D, k_grid_size=n).W for n in sizes]
+        w = [winding_number(pattern, D, k_grid_size=n).W for n in sizes]
         assert w[0] == pytest.approx(w[1], abs=1e-8)
         assert w[0] == pytest.approx(1.0 if pattern.g1 * pattern.g2 > 0 else 0.0, abs=1e-6)
 
 
 class TestPhaseDiagram:
     def test_step_function_at_reference_points(self):
-        rows = winding_phase_diagram([-1.1, -0.7, 0.7, 1.1], J, D)
+        rows = winding_phase_diagram([-1.1, -0.7, 0.7, 1.1], D)
         got = {g2: w for g2, w, _ in rows}
         assert got[-1.1] == pytest.approx(0.0, abs=1e-6)
         assert got[-0.7] == pytest.approx(0.0, abs=1e-6)
@@ -96,9 +100,9 @@ class TestPhaseDiagram:
         assert got[1.1] == pytest.approx(1.0, abs=1e-6)
 
     def test_exclusion_window_skips_near_zero(self):
-        rows = winding_phase_diagram([-0.04, 0.0, 0.04, 0.7], J, D, exclusion=0.05)
+        rows = winding_phase_diagram([-0.04, 0.0, 0.04, 0.7], D, exclusion=0.05)
         assert [g2 for g2, _, _ in rows] == [0.7]
 
     def test_residuals_are_reported(self):
-        rows = winding_phase_diagram([0.7, 1.1], J, D)
+        rows = winding_phase_diagram([0.7, 1.1], D)
         assert all(res < 1e-6 for _, _, res in rows)
