@@ -63,6 +63,18 @@ class MomentumSpectrum:
         return self.kx_grid[cols], cent
 
 
+def momentum_kz_grid(n_z: int, n_x: int, dz: float, pad_factor: int) -> np.ndarray:
+    """kz axis (1/um) of the transform of an (n_z, n_x) field with z step
+    ``dz`` um, padded ``pad_factor`` >= 1 times; needs 8 sites and 64 z samples."""
+    if n_x < 8:
+        raise ConfigurationError("momentum spectrum needs at least 8 sites")
+    if n_z < 64:
+        raise ConfigurationError("momentum spectrum needs at least 64 z samples")
+    if pad_factor < 1:
+        raise ConfigurationError("pad_factor must be >= 1")
+    return 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(pad_factor * n_z, d=dz))
+
+
 def momentum_spectrum(
     field: FieldEvolution,
     window: str = WINDOW_HANN,
@@ -71,8 +83,8 @@ def momentum_spectrum(
     """2D discrete Fourier transform of the complex field over (x, z).
 
     With the evolution convention a ~ exp(i*beta*z) the longitudinal peak of
-    a mode sits at kz = Re(beta) + Re(E). Requires at least 8 sites and 64
-    z samples.
+    a mode sits at kz = Re(beta) + Re(E). The kz axis and the field's size
+    rules are those of :func:`momentum_kz_grid`.
 
     The transform runs along x once, then along z for ``_KX_BLOCK`` kx
     columns at a time, whose power goes straight into both zones of the
@@ -81,12 +93,8 @@ def momentum_spectrum(
     the z transform at a time, never the whole padded transform.
     """
     n_z, n_x = field.amplitudes.shape
-    if n_x < 8:
-        raise ConfigurationError("momentum spectrum needs at least 8 sites")
-    if n_z < 64:
-        raise ConfigurationError("momentum spectrum needs at least 64 z samples")
-    if pad_factor < 1:
-        raise ConfigurationError("pad_factor must be >= 1")
+    dz = field.z_grid[1] - field.z_grid[0] if n_z > 1 else 1.0  # 1 sample: rejected below
+    kz = momentum_kz_grid(n_z, n_x, dz, pad_factor)
 
     a = field.amplitudes
     if window == WINDOW_HANN:
@@ -95,9 +103,7 @@ def momentum_spectrum(
         raise ConfigurationError(f"unknown window {window!r}")
 
     n_zf, n_xf = pad_factor * n_z, pad_factor * n_x
-    dz = field.z_grid[1] - field.z_grid[0]
     d = field.spec.spacing_d
-    kz = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(n_zf, d=dz))
     # kx extends periodically over two zones [-2pi/d, 2pi/d): column j of
     # the result is transform bin j mod n_xf
     dkx = 2.0 * np.pi / (n_xf * d)

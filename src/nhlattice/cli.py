@@ -7,8 +7,9 @@ excitation and ``params`` (checks and defaults), and ``_LATTICE``,
 re_beta in 1/um, spacing d and stripe width w in um. ``"hopping_J": "auto"``
 and loss given as ``im_beta`` or ``w`` go through the calibration module.
 
-``validate`` applies every check that does not need the built lattice and
-names the offending JSON path. Exit codes: 0 on success, 2 for
+``validate`` builds the lattice and resolves the excitation through the
+builders ``run`` uses, so it reports every configuration error, with the
+offending JSON path, before anything runs. Exit codes: 0 on success, 2 for
 configuration problems, 3 for numerical failures (with a
 ``diagnostics.json``). Each run writes a ``manifest.json`` with the config
 hash, versions and all derived parameters; outputs are byte-reproducible.
@@ -25,6 +26,7 @@ import os
 import reprlib
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from copy import deepcopy
 from dataclasses import asdict
 from pathlib import Path
@@ -54,6 +56,15 @@ class ConfigError(ConfigurationError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.json_path = path
+
+
+@contextmanager
+def _reported_at(path: str):
+    """Report a builder's ConfigurationError as a ConfigError at ``path``."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +204,8 @@ def _check_pattern(obj, path: str) -> dict:
     if phase in ("II", "III"):
         _one_loss(pattern, path)
     if phase is None:
-        try:
+        with _reported_at(path):
             LossPattern.from_g(pattern["g0"], pattern["g1"], pattern["g2"])
-        except ConfigurationError as exc:
-            raise ConfigError(path, str(exc)) from None
     pattern["phase"] = phase
     return pattern
 
@@ -230,26 +239,7 @@ def _check_lattice(obj, path: str, run: str) -> dict:
         lat["pattern"] = _check_pattern(lat["pattern"], f"{path}.pattern")
     if lat["interface"] is not None:
         lat["interface"] = _check_interface(lat["interface"], f"{path}.interface")
-    n_sites = _n_sites(lat)
-    if n_sites is not None:
-        where = "n_sites" if lat["interface"] is None else "interface"
-        _over_budget(f"{path}.{where}", "lattice sites", MAX_SITES, n_sites)
     return lat
-
-
-def _n_sites(lat: dict) -> Optional[int]:
-    """Sites of the chain a checked lattice section builds (None for a cell)."""
-    iface = lat["interface"]
-    if iface is None:
-        return lat["n_sites"]
-    return 4 * (iface["n_left_cells"] + iface["n_right_cells"])
-
-
-def _check_excitation(obj, path: str) -> dict:
-    exc = _section(obj, _EXCITATION, path)
-    if exc["kind"] == propagation.KIND_SITE and exc["site"] is None:
-        raise ConfigError(f"{path}.site", "required for site_index excitation")
-    return exc
 
 
 def _scan(lo: float, hi: float, step: float) -> List[float]:
@@ -320,12 +310,12 @@ def build_lattice(lat: dict, derived: dict) -> LatticeSpec:
 
 
 # ---------------------------------------------------------------------------
-# runners: (checked config, output directory, derived) -> (summary, outputs)
+# runners: (checked config, output directory) -> (summary, outputs); each
+# reads the model objects that validate_config built into the checked config
 
 
-def _run_spectrum(c, out_dir: Path, derived: dict):
-    spec = build_lattice(c["lattice"], derived)
-    params = c["params"]
+def _run_spectrum(c, out_dir: Path):
+    spec, params = c["spec"], c["params"]
     h = real_space_hamiltonian(spec)
     result = spectral.eig_full(h)
     order = spectral.spectrum_order(
@@ -354,20 +344,13 @@ def _run_spectrum(c, out_dir: Path, derived: dict):
     return summary, outputs
 
 
-def _propagate_from_config(c, derived):
-    spec = build_lattice(c["lattice"], derived)
-    e, params = c["excitation"], c["params"]
-    exc = Excitation.resolve(
-        e["kind"], spec, site=e["site"], amplitude=complex(*e["amplitude"])
-    )
-    field = propagation.propagate(
-        spec, exc, z_max=params["z_max"], dz=params["dz"], method=params["method"]
-    )
-    return spec, exc, field
+def _propagate(c):
+    p = c["params"]
+    return propagation.propagate(c["spec"], c["excitation"], p["z_max"], p["dz"], p["method"])
 
 
-def _write_field(field, out_dir: Path, save_amplitudes: bool, save_every: int):
-    keep = slice(0, None, save_every)
+def _write_field(field, out_dir: Path, params: dict):
+    keep = slice(0, None, params["save_every"])
     z = field.z_grid[keep]
     header = ["z"] + [f"site{j + 1}" for j in range(field.spec.n_sites)]
     outputs = [serialization.write_csv(
@@ -376,17 +359,16 @@ def _write_field(field, out_dir: Path, save_amplitudes: bool, save_every: int):
     outputs.append(serialization.write_json(out_dir / "z_grid.json", {
         "z_min": float(field.z_grid[0]),
         "z_max": float(field.z_grid[-1]),
-        "dz": float(field.z_grid[1] - field.z_grid[0]),
-        "save_every": int(save_every),
+        "dz": float(params["dz"]),  # the z grid's step; it may hold one sample only
+        "save_every": int(params["save_every"]),
         "n_samples": int(field.z_grid.size),
         "n_sites": int(field.spec.n_sites),
         "spacing_d": float(field.spec.spacing_d),
         "re_beta": float(field.spec.re_beta),
     }))
-    if save_amplitudes:
-        amp_header = ["z"]
-        for j in range(field.spec.n_sites):
-            amp_header += [f"re{j + 1}", f"im{j + 1}"]
+    if params["save_amplitudes"]:
+        amp_header = ["z"] + [f"{part}{j + 1}" for j in range(field.spec.n_sites)
+                              for part in ("re", "im")]
         amps = serialization.re_im_columns(field.amplitudes[keep])
         outputs.append(serialization.write_csv(
             out_dir / "amplitudes.csv", amp_header, np.column_stack([z, amps])
@@ -394,39 +376,30 @@ def _write_field(field, out_dir: Path, save_amplitudes: bool, save_every: int):
     return outputs
 
 
-def _run_propagate(c, out_dir: Path, derived: dict):
-    _, exc, field = _propagate_from_config(c, derived)
-    params = c["params"]
-    outputs = _write_field(
-        field, out_dir, params["save_amplitudes"], params["save_every"]
-    )
+def _run_propagate(c, out_dir: Path):
+    field, site = _propagate(c), c["excitation"].site
+    outputs = _write_field(field, out_dir, c["params"])
     last = field.intensities(-1)
     summary = {
-        "excited_site": exc.site,
+        "excited_site": site,
         "final_total_intensity": float(last.sum()),
-        "excited_final_fraction": float(last[exc.site - 1] / max(last.sum(), 1e-300)),
+        "excited_final_fraction": float(last[site - 1] / max(last.sum(), 1e-300)),
     }
     return summary, outputs
 
 
-def _run_momentum(c, out_dir: Path, derived: dict):
-    spec, _, field = _propagate_from_config(c, derived)
+def _run_momentum(c, out_dir: Path):
     params = c["params"]
     ms = analysis.momentum_spectrum(
-        field, window=params["window"], pad_factor=params["pad_factor"]
+        _propagate(c), window=params["window"], pad_factor=params["pad_factor"]
     )
-    # export only the band region around re_beta; the padded grid is huge
-    kz_window = params["kz_window"] or [spec.re_beta - 0.6, spec.re_beta + 0.6]
-    rows_mask = (ms.kz_grid >= kz_window[0]) & (ms.kz_grid <= kz_window[1])
-    if not rows_mask.any():
-        raise ConfigError("config.params.kz_window", "holds no kz sample of the transform")
-    kz = ms.kz_grid[rows_mask]
-    power = ms.power[rows_mask]
+    # export only the kz window's rows; the padded grid is huge
+    kz, power = ms.kz_grid[c["kz_rows"]], ms.power[c["kz_rows"]]
     header = ["kz\\kx"] + [serialization.fmt(v) for v in ms.kx_grid]
     outputs = [
         serialization.write_csv(out_dir / "power.csv", header, np.column_stack([kz, power])),
         serialization.write_json(out_dir / "axes.json", {
-            "kx": ms.kx_grid, "kz": kz, "kz_window": list(kz_window),
+            "kx": ms.kx_grid, "kz": kz, "kz_window": list(params["kz_window"]),
             "window": ms.window, "pad_factor": ms.pad_factor,
         }),
     ]
@@ -439,19 +412,16 @@ def _run_momentum(c, out_dir: Path, derived: dict):
     return summary, outputs
 
 
-def _run_winding(c, out_dir: Path, derived: dict):
-    lat, params = c["lattice"], c["params"]
-    hop = _hopping(lat, derived)
+def _run_winding(c, out_dir: Path):
+    d, params, pattern = c["lattice"]["spacing_d"], c["params"], c["pattern"]
     k_grid = params["k_grid_size"]
-    if params["g2_values"] is not None:
+    if pattern is None:
         rows = topology.winding_phase_diagram(
-            params["g2_values"], lat["spacing_d"],
-            k_grid_size=k_grid, exclusion=params["exclusion"],
+            params["g2_values"], d, k_grid_size=k_grid, exclusion=params["exclusion"],
         )
         summary = {"n_points": len(rows)}
     else:
-        pattern = _loss_pattern(lat["pattern"], hop, derived, "lattice.pattern")
-        res = topology.winding_number(pattern, lat["spacing_d"], k_grid_size=k_grid)
+        res = topology.winding_number(pattern, d, k_grid_size=k_grid)
         rows = [(pattern.g2, res.W, res.quantization_residual)]
         summary = {"W": res.W, "residual": res.quantization_residual}
     outputs = [serialization.write_csv(
@@ -460,7 +430,7 @@ def _run_winding(c, out_dir: Path, derived: dict):
     return summary, outputs
 
 
-def _run_symmetry(c, out_dir: Path, derived: dict):
+def _run_symmetry(c, out_dir: Path):
     params = c["params"]
     ks = np.linspace(0.0, np.pi / 2.0, params["k_samples"])
     report_obj = {}
@@ -476,10 +446,9 @@ def _run_symmetry(c, out_dir: Path, derived: dict):
     return summary, outputs
 
 
-def _run_ep_sweep(c, out_dir: Path, derived: dict):
-    spec = build_lattice(c["lattice"], derived)
+def _run_ep_sweep(c, out_dir: Path):
     params = c["params"]
-    res = spectral.ep_sweep(spec, _scan(params["j_min"], params["j_max"], params["j_step"]))
+    res = spectral.ep_sweep(c["spec"], _scan(params["j_min"], params["j_max"], params["j_step"]))
     pair = res.pair_eigenvalues
     table = np.column_stack([
         res.J_values, pair[:, 0].real, pair[:, 0].imag, pair[:, 1].real, pair[:, 1].imag,
@@ -490,7 +459,7 @@ def _run_ep_sweep(c, out_dir: Path, derived: dict):
         ["J", "ReE_a", "ImE_a", "ReE_b", "ImE_b", "separation"],
         table,
     )]
-    derived["J_ep_estimate"] = res.J_ep_estimate
+    c["derived"]["J_ep_estimate"] = res.J_ep_estimate
     summary = {
         "J_ep": res.J_ep_estimate,
         "J_ep_at_scan_edge": res.J_ep_at_scan_edge,
@@ -500,12 +469,11 @@ def _run_ep_sweep(c, out_dir: Path, derived: dict):
     return summary, outputs
 
 
-def _run_interface_compare(c, out_dir: Path, derived: dict):
-    lat, params = c["lattice"], c["params"]
-    hop = _hopping(lat, derived)
+def _run_interface_compare(c, out_dir: Path):
+    params = c["params"]
     g_values = _scan(params["g2_min"], params["g2_max"], params["g2_step"])
     rows = analysis.interface_vs_defect(
-        g_values, hop, spacing_d=lat["spacing_d"],
+        g_values, c["hopping_J"], spacing_d=c["lattice"]["spacing_d"],
         n_cells_per_side=params["n_cells_per_side"],
         n_sites_defect=params["n_sites_defect"],
     )
@@ -517,11 +485,9 @@ def _run_interface_compare(c, out_dir: Path, derived: dict):
     return {"n_points": len(rows)}, outputs
 
 
-def _run_fit(c, out_dir: Path, derived: dict):
-    _, exc, field = _propagate_from_config(c, derived)
-    params = c["params"]
-    site = exc.site if params["site"] == "excited" else params["site"]
-    z, trace = field.site_trace(site)
+def _run_fit(c, out_dir: Path):
+    params, site = c["params"], c["params"]["site"]
+    z, trace = _propagate(c).site_trace(site)
     outputs = [serialization.write_csv(
         out_dir / "trace.csv", ["z", "intensity"], np.column_stack([z, trace])
     )]
@@ -552,17 +518,14 @@ _BUILTIN_CURVES = {
 }
 
 
-def _run_calibrate(c, out_dir: Path, derived: dict):
+def _run_calibrate(c, out_dir: Path):
     params = c["params"]
-    points, provenance = params["points"], None
-    if params["points_file"] is not None:
-        points, provenance = calibration.load_points(params["points_file"])
-    if points == "builtin":
+    if params["points"] == "builtin":
         curve = _BUILTIN_CURVES[params["kind"]]()
     else:
         curve = calibration.fit_curve(
-            points, params["model"], kind=params["kind"],
-            fixed_x0=params["fixed_x0"], provenance=provenance,
+            params["points"], params["model"], kind=params["kind"],
+            fixed_x0=params["fixed_x0"], provenance=c["provenance"],
         )
     record = {**asdict(curve), "max_anchor_error": curve.max_anchor_error()}
     if params["predict_at"] is not None:
@@ -575,7 +538,8 @@ def _run_calibrate(c, out_dir: Path, derived: dict):
 
 
 # ---------------------------------------------------------------------------
-# cross-field checks on a checked config, run by validate_config
+# each run's checks on the resolved config, run by validate_config: work
+# budgets, cross-field rules and the params that depend on the model
 
 #: Work and memory budgets: complex amplitudes a propagation stores
 #: ((z_max/dz + 1) * n_sites); entries of the padded momentum transform
@@ -596,28 +560,43 @@ def _over_budget(path: str, what: str, budget: int, *factors):
         raise ConfigError(path, f"{what} exceed the budget of {budget:.3g}")
 
 
-def _check_field(c, path: str):
+def _check_field(c, path: str) -> int:
+    """The number of z samples, round(z_max / dz) + 1, that propagate keeps."""
     params = c["params"]
-    n_sites = _n_sites(c["lattice"])
-    # propagate keeps round(z_max / dz) + 1 samples
-    n_z = params["z_max"] / params["dz"] + 1.0
     _over_budget(f"{path}.params", "stored amplitudes (z_max/dz + 1) * n_sites",
-                 MAX_AMPLITUDES, n_z, n_sites)
-    return n_z, n_sites
+                 MAX_AMPLITUDES, params["z_max"] / params["dz"] + 1.0, c["spec"].n_sites)
+    return round(params["z_max"] / params["dz"]) + 1
 
 
 def _check_momentum(c, path: str):
-    n_z, n_sites = _check_field(c, path)
-    if n_z <= 63.5:
-        raise ConfigError(f"{path}.params", "momentum spectra need at least 64 z samples")
-    pad = c["params"]["pad_factor"]
+    spec, params = c["spec"], c["params"]
+    n_z, pad = _check_field(c, path), params["pad_factor"]
     _over_budget(f"{path}.params.pad_factor", "padded transform entries pad^2 * n_z * n_sites",
-                 MAX_TRANSFORM, pad, pad, n_z, n_sites)
+                 MAX_TRANSFORM, pad, pad, n_z, spec.n_sites)
+    with _reported_at(f"{path}.params"):
+        kz = analysis.momentum_kz_grid(n_z, spec.n_sites, params["dz"], pad)
+    if params["kz_window"] is None:  # the band region around re_beta
+        params["kz_window"] = [spec.re_beta - 0.6, spec.re_beta + 0.6]
+    lo, hi = params["kz_window"]
+    c["kz_rows"] = (kz >= lo) & (kz <= hi)
+    if not c["kz_rows"].any():
+        raise ConfigError(f"{path}.params.kz_window", "holds no kz sample of the transform")
+
+
+def _check_fit(c, path: str):
+    _check_field(c, path)
+    params = c["params"]
+    unused = "fit_range" if params["fit"] == "decay" else "fit_ranges"
+    if params[unused] is not None:
+        raise ConfigError(f"{path}.params.{unused}", f"not used by a {params['fit']} fit")
+    site = c["excitation"].site if params["site"] == "excited" else params["site"]
+    with _reported_at(f"{path}.params.site"):
+        params["site"] = Excitation.resolve(propagation.KIND_SITE, c["spec"], site=site).site
 
 
 def _check_winding(c, path: str):
-    if c["params"]["g2_values"] is None and c["lattice"]["pattern"] is None:
-        raise ConfigError(f"{path}.lattice.pattern", "required unless params.g2_values is given")
+    if (c["params"]["g2_values"] is None) == (c["pattern"] is None):
+        raise ConfigError(f"{path}.lattice.pattern", "give exactly one of it and params.g2_values")
 
 
 def _check_scan(c, path: str, name: str) -> float:
@@ -631,10 +610,8 @@ def _check_scan(c, path: str, name: str) -> float:
 def _check_ep_sweep(c, path: str):
     if _check_scan(c, path, "j") <= 0.5:
         raise ConfigError(f"{path}.params", "the J scan needs at least two values")
-    try:
-        spectral.require_interface(build_lattice(c["lattice"], {}))
-    except ConfigurationError as exc:
-        raise ConfigError(f"{path}.lattice.interface", str(exc)) from None
+    with _reported_at(f"{path}.lattice.interface"):
+        spectral.require_interface(c["spec"])
 
 
 def _check_interface_compare(c, path: str):
@@ -648,18 +625,19 @@ def _check_interface_compare(c, path: str):
 
 
 def _check_calibrate(c, path: str):
-    params = c["params"]
+    params, c["provenance"] = c["params"], None
     if params["points_file"] is not None:
-        try:
-            calibration.load_points(params["points_file"])
-        except ConfigurationError as exc:
-            raise ConfigError(f"{path}.params.points_file", str(exc)) from None
-    builtin = params["points_file"] is None and params["points"] == "builtin"
+        with _reported_at(f"{path}.params.points_file"):
+            params["points"], c["provenance"] = calibration.load_points(params["points_file"])
+    builtin = params["points"] == "builtin"
     if builtin and params["kind"] not in _BUILTIN_CURVES:
         raise ConfigError(
             f"{path}.params.kind",
             "builtin points exist for " + " and ".join(map(repr, _BUILTIN_CURVES)) + " only",
         )
+    exponential = params["model"] == calibration.MODEL_EXPONENTIAL
+    if params["fixed_x0"] is not None and (builtin or not exponential):
+        raise ConfigError(f"{path}.params.fixed_x0", "used only by an exponential fit to points")
 
 
 class Run(NamedTuple):
@@ -722,7 +700,7 @@ RUNS = {
         "site": (_either(_int(1), _one_of("excited")), "excited"),
         "fit_ranges": (_list("a list of [lo, hi] pairs with lo < hi", RANGE), None),
         "fit_range": (RANGE, None),
-    }, _check_field),
+    }, _check_fit),
     "calibrate": Run(_run_calibrate, None, False, {
         "kind": (STR, "generic"),
         "model": (_one_of(calibration.MODEL_EXPONENTIAL, calibration.MODEL_LINEAR_ORIGIN,
@@ -755,8 +733,11 @@ _GRID_ENTRY = {
 def validate_config(cfg: dict, path: str = "config") -> dict:
     """Check a config, and every grid point of it, without touching ``cfg``.
 
-    Returns a checked copy of ``cfg`` with every default filled in, which is
-    what the runners read.
+    Returns a checked copy of ``cfg`` with every default filled in; the
+    runners read nothing else. Its resolution step adds what the builders
+    make of it: ``spec`` (or ``hopping_J`` and ``pattern``), the resolved
+    ``excitation`` and the ``derived`` parameters. The run's check then
+    bounds the work and resolves what depends on them, such as a fit's site.
     """
     c = _section(cfg, _TOP, path)
     name = c["run"]
@@ -766,10 +747,28 @@ def validate_config(cfg: dict, path: str = "config") -> dict:
             usage = "required for" if needed else "not used by"
             raise ConfigError(f"{path}.{section}", f"{usage} run '{name}'")
     if run.lattice is not None:
-        c["lattice"] = _check_lattice(c["lattice"], f"{path}.lattice", name)
+        lat = c["lattice"] = _check_lattice(c["lattice"], f"{path}.lattice", name)
     if run.excitation:
-        c["excitation"] = _check_excitation(c["excitation"], f"{path}.excitation")
+        c["excitation"] = _section(c["excitation"], _EXCITATION, f"{path}.excitation")
     c["params"] = _section(c["params"], run.params, f"{path}.params")
+    derived = c["derived"] = {}  # resolution: the model objects, from the builders
+    if run.lattice in ("chain", "interface"):
+        with _reported_at(f"{path}.lattice"):
+            spec = c["spec"] = build_lattice(lat, derived)
+        where = "n_sites" if lat["interface"] is None else "interface"
+        _over_budget(f"{path}.lattice.{where}", "lattice sites", MAX_SITES, spec.n_sites)
+    elif run.lattice is not None:
+        with _reported_at(f"{path}.lattice"):
+            hop = c["hopping_J"] = _hopping(lat, derived)
+            p = lat["pattern"]
+            c["pattern"] = None if p is None else _loss_pattern(p, hop, derived, "lattice.pattern")
+    if run.excitation:
+        e = c["excitation"]
+        where = "site" if e["kind"] == propagation.KIND_SITE else "kind"
+        with _reported_at(f"{path}.excitation.{where}"):
+            c["excitation"] = Excitation.resolve(
+                e["kind"], spec, site=e["site"], amplitude=complex(*e["amplitude"])
+            )
     if run.check is not None:
         run.check(c, path)
     if c["grid"] is not None:
@@ -810,8 +809,7 @@ def execute_single(cfg: dict, out_dir: Path) -> dict:
     """Run one grid-free config into ``out_dir``; returns summary."""
     c = validate_config(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    derived: Dict[str, float] = {}
-    summary, outputs = RUNS[c["run"]].runner(c, out_dir, derived)
+    summary, outputs = RUNS[c["run"]].runner(c, out_dir)
     manifest = {
         "config_sha256": serialization.config_hash(cfg),
         "package_version": __version__,
@@ -819,7 +817,7 @@ def execute_single(cfg: dict, out_dir: Path) -> dict:
         "scipy_version": scipy.__version__,
         "run": c["run"],
         "seed": c["seed"],
-        "derived_parameters": derived,
+        "derived_parameters": c["derived"],
         "summary": summary,
         "outputs": sorted(p.name for p in outputs),
     }

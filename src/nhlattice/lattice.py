@@ -45,7 +45,7 @@ class LossPattern:
     custom_cell: Optional[Tuple[complex, complex, complex, complex]] = None
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.g0, self.g1, self.g2])):
+        if not np.isfinite(np.array([self.g0, self.g1, self.g2], float)).all():
             raise ConfigurationError("g0, g1 and g2 must be finite")
         if self.g0 < 0:
             raise ConfigurationError(f"g0 must be >= 0, got {self.g0}")
@@ -144,7 +144,7 @@ class LatticeSpec:
     interface_index: Optional[int] = None
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.hopping_J, self.spacing_d, self.re_beta])):
+        if not np.isfinite(np.array([self.hopping_J, self.spacing_d, self.re_beta], float)).all():
             raise ConfigurationError("hopping_J, spacing_d and re_beta must be finite")
         if self.n_sites < 1:
             raise ConfigurationError("n_sites must be >= 1")

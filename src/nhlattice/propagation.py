@@ -95,7 +95,7 @@ class Excitation:
             raise ConfigurationError(f"unknown excitation kind {kind!r}")
         if not 1 <= resolved <= spec.n_sites:
             raise ConfigurationError(
-                f"excitation site {resolved} outside lattice of {spec.n_sites} sites"
+                f"site {resolved} outside lattice of {spec.n_sites} sites"
             )
         return cls(kind=kind, site=resolved, amplitude=complex(amplitude))
 
@@ -143,11 +143,9 @@ def _rk4(m_rot: np.ndarray, a0: np.ndarray, n_steps: int, dz: float) -> np.ndarr
     out = _mapped_empty((n_steps + 1, a0.size))
     out[0] = a0
     a = a0
-    # the chain's generator i*M is tridiagonal, so each stage applies the
-    # three-term stencil of its diagonal and off-diagonals, not a dense product
-    gen = partial(
-        tridiagonal_apply, 1j * m_rot.diagonal(), 1j * m_rot.diagonal(1), 1j * m_rot.diagonal(-1)
-    )
+    # the chain's generator i*M is symmetric tridiagonal, so each stage applies
+    # the three-term stencil of its diagonal and off-diagonal, not a dense product
+    gen = partial(tridiagonal_apply, 1j * m_rot.diagonal(), 1j * m_rot.diagonal(1))
     lossy = np.all(m_rot.imag.diagonal() >= -1e-15)
     total_prev = float(np.vdot(a, a).real)
     for n in range(n_steps):

@@ -211,14 +211,12 @@ PREDICTOR_RTOL = 0.1
 ROUNDING_RTOL = 1e-13
 
 
-def tridiagonal_apply(
-    diag: np.ndarray, upper: np.ndarray, lower: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """A x for the tridiagonal A with the given diagonal and off-diagonals,
-    as a three-term stencil."""
+def tridiagonal_apply(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for the symmetric tridiagonal A with the given diagonal and
+    off-diagonal, as a three-term stencil."""
     ax = diag * x
-    ax[:-1] += upper * x[1:]
-    ax[1:] += lower * x[:-1]
+    ax[:-1] += off * x[1:]
+    ax[1:] += off * x[:-1]
     return ax
 
 
@@ -241,7 +239,7 @@ def _rayleigh_quotient_iteration(d, e, shift, x, stop):
         y, info = zgttrs(*lu, x)
         y = y / np.abs(y).max()  # a nearly singular shift makes y huge
         x = y / np.linalg.norm(y)
-        hx = tridiagonal_apply(d, e, e, x)
+        hx = tridiagonal_apply(d, e, x)
         xx = x @ x
         if xx == 0:
             return None

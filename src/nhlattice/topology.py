@@ -84,7 +84,7 @@ def winding_number(
     """
     if k_grid_size < 16:
         raise ConfigurationError("k_grid_size must be at least 16")
-    if not (np.isfinite(d) and d > 0):
+    if not (np.isfinite(float(d)) and d > 0):
         raise ConfigurationError("spacing d must be finite and > 0")
     dk = (np.pi / (2.0 * d)) / k_grid_size
 

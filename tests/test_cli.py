@@ -1,5 +1,6 @@
 import copy
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from nhlattice import propagation
 from nhlattice.cli import main
+from nhlattice.errors import ConfigurationError
 from nhlattice.lattice import LatticeSpec, LossPattern, real_space_hamiltonian
 from nhlattice.spectral import SPECTRUM_ORDER_RTOL, eig_full, spectrum_order
 
@@ -157,6 +160,47 @@ CONFIG_ONLY_ERRORS = {
             "n_left_cells": 6, "n_right_cells": 6, "im_beta": 0})},
         "config.lattice.interface",
     ),
+    # rules of the builders that validate applies by building the model
+    "excitation_site_outside": (
+        beam("propagate", excitation={"kind": "site_index", "site": 40}),
+        "config.excitation.site",
+    ),
+    "interface_excitation_on_chain": (
+        beam("propagate", excitation={"kind": "interface"}), "config.excitation.kind"
+    ),
+    "bulk_excitation_on_short_chain": (
+        beam("propagate", excitation={"kind": "bulk_cell_start"}), "config.excitation.kind"
+    ),
+    "kz_window_empty": (
+        beam("momentum", {"z_max": 10.0, "kz_window": [100.0, 100.01]}),
+        "config.params.kz_window",
+    ),
+    "momentum_few_sites": (beam("momentum", lattice=dict(CHAIN, n_sites=6)), "config.params"),
+    "fit_site_outside": (beam("fit", {"site": 99}), "config.params.site"),
+    "sweep_point_site_outside": (
+        dict(beam("propagate", {"z_max": 1.0}, {"kind": "site_index", "site": 10}),
+             grid=[{"path": "lattice.n_sites", "values": [12, 8]}]),
+        "config.excitation.site",
+    ),
+    # fields that the chosen mode would ignore
+    "fit_range_on_decay_fit": (
+        beam("fit", {"fit": "decay", "fit_range": [4.0, 30.0]}), "config.params.fit_range"
+    ),
+    "fit_ranges_on_oscillation_fit": (
+        beam("fit", {"fit": "oscillation", "fit_ranges": [[4.0, 30.0]]}),
+        "config.params.fit_ranges",
+    ),
+    "fixed_x0_without_exponential_fit": (
+        {"run": "calibrate", "params": {
+            "model": "linear_through_origin", "points": [[1.0, 2.0]], "fixed_x0": 1.0}},
+        "config.params.fixed_x0",
+    ),
+    "winding_pattern_with_g2_values": (
+        {"run": "winding", "lattice": {
+            "hopping_J": 0.045, "spacing_d": 1.4, "pattern": {"phase": "II", "g": 1.1}},
+         "params": {"g2_values": [0.7]}},
+        "config.lattice.pattern",
+    ),
 }
 
 
@@ -188,6 +232,47 @@ def mutate(cfg, rnd, leaf, op, size):
     else:
         parent[key] = leaf
     return cfg
+
+
+def draw_range(draw, lo, hi):
+    a = draw(st.floats(lo, hi))
+    return [a, a + draw(st.floats(1e-3, 1.0))]
+
+
+@st.composite
+def small_beam_configs(draw):
+    """propagate, momentum and fit configs on chains of 1-16 sites, with z
+    grids of 1 to 131 samples (a momentum map needs 64) and sites up to two
+    beyond the chain."""
+    if draw(st.booleans()):
+        n_sites = draw(st.integers(1, 16))
+        lattice = dict(CHAIN, n_sites=n_sites,
+                       pattern=draw(st.sampled_from([{"phase": "I"}, {"phase": "III", "g": 1.1}])))
+    else:
+        left = draw(st.integers(1, 3))
+        right = draw(st.integers(1, 4 - left))
+        n_sites = 4 * (left + right)
+        lattice = dict(IFACE, interface={
+            "n_left_cells": left, "n_right_cells": right, "im_beta": 0.1})
+    sites = st.integers(1, n_sites + 2)
+    excitation = {"kind": draw(st.sampled_from(
+        ["edge", "bulk_cell_start", "interface", "site_index"]))}
+    if draw(st.booleans()):
+        excitation["site"] = draw(sites)
+    run = draw(st.sampled_from(["propagate", "momentum", "fit"]))
+    params = {"dz": 0.1, "z_max": draw(st.floats(0.01, 13.0))}
+    if run == "momentum":
+        params["pad_factor"] = draw(st.integers(1, 4))
+        if draw(st.booleans()):
+            params["kz_window"] = draw_range(draw, 5.0, 8.0)  # re_beta is 6.6
+    elif run == "fit":
+        params["fit"] = draw(st.sampled_from(["decay", "oscillation"]))
+        params["site"] = draw(st.one_of(st.just("excited"), sites))
+        if draw(st.booleans()):
+            params["fit_range"] = draw_range(draw, 0.0, 10.0)
+        if draw(st.booleans()):
+            params["fit_ranges"] = [draw_range(draw, 0.0, 10.0)]
+    return beam(run, params, excitation, lattice)
 
 
 def read_tree(root: Path):
@@ -286,6 +371,22 @@ class TestValidation:
         path.write_text(json.dumps(cfg))
         assert main(["validate", str(path)]) in (0, 2)
 
+    @settings(deadline=None, max_examples=100,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(small_beam_configs())
+    def test_validate_predicts_run(self, tmp_path, cfg):
+        # exit 0 from validate: run has no configuration error left to report
+        with tempfile.TemporaryDirectory(dir=tmp_path) as root:
+            out = Path(root) / "out"
+            path = write_config(Path(root), dict(cfg, output_dir=str(out)))
+            code = main(["validate", path])
+            assert code in (0, 2)
+            if code == 0:
+                assert main(["run", path]) in (0, 3)
+            else:
+                assert main(["run", path]) == 2
+                assert not out.exists()
+
 
 class TestRun:
     def test_spectrum_outputs_and_manifest(self, tmp_path):
@@ -314,6 +415,15 @@ class TestRun:
         assert code == 3
         diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
         assert diag["error_class"] == "GaplessSpectrumError"
+
+    @pytest.mark.parametrize("run, lattice", [
+        ("spectrum", dict(CHAIN, re_beta=-(2**64), pattern={"g0": 2**64, "g1": 2**64, "g2": 1})),
+        ("winding", {"hopping_J": 0.045, "spacing_d": 2**64, "pattern": {"phase": "III", "g": 1}}),
+    ], ids=["spectrum", "winding"])
+    def test_integers_beyond_int64_are_numbers(self, tmp_path, run, lattice):
+        # finite JSON numbers that numpy cannot hold as int64
+        cfg = {"run": run, "output_dir": str(tmp_path / "out"), "lattice": lattice}
+        assert main(["run", write_config(tmp_path, cfg)]) in (0, 3)
 
     def test_linalg_error_is_status_3_with_diagnostics(self, tmp_path, monkeypatch, capsys):
         fail_eig_at(monkeypatch, 40)
@@ -406,16 +516,18 @@ class TestSweep:
         manifest = json.loads((tmp_path / "out" / "sweep_manifest.json").read_text())
         assert manifest["failed_points"] == [1]
 
-    def test_point_configuration_error_recorded_not_fatal(self, tmp_path):
-        # site 10 exists on the 12-site chain but not on the 8-site one
-        cfg = {
-            "run": "propagate",
-            "output_dir": str(tmp_path / "out"),
-            "lattice": dict(CHAIN, n_sites=12),
-            "excitation": {"kind": "site_index", "site": 10},
-            "params": {"z_max": 1.0},
-            "grid": [{"path": "lattice.n_sites", "values": [12, 8]}],
-        }
+    def test_point_configuration_error_recorded_not_fatal(self, tmp_path, monkeypatch):
+        # validate builds every point, so only a run-time rule can fail one
+        propagate = propagation.propagate
+
+        def failing(spec, *args, **kwargs):
+            if spec.n_sites == 8:
+                raise ConfigurationError("no 8-site propagation")
+            return propagate(spec, *args, **kwargs)
+
+        monkeypatch.setattr(propagation, "propagate", failing)
+        cfg = dict(beam("propagate", {"z_max": 1.0}), output_dir=str(tmp_path / "out"),
+                   grid=[{"path": "lattice.n_sites", "values": [12, 8]}])
         assert main(["run", write_config(tmp_path, cfg)]) == 0
         out = tmp_path / "out"
         rows = (out / "results.csv").read_text().splitlines()
@@ -424,7 +536,7 @@ class TestSweep:
         manifest = json.loads((out / "sweep_manifest.json").read_text())
         assert manifest["failed_points"] == [1]
         diag = json.loads((out / "point_001" / "diagnostics.json").read_text())
-        assert "outside lattice" in diag["message"]
+        assert diag["message"] == "no 8-site propagation"
 
     def test_point_linalg_error_recorded_not_fatal(self, tmp_path, monkeypatch):
         fail_eig_at(monkeypatch, 16)
@@ -533,6 +645,14 @@ class TestRunnerOptions:
         assert np.allclose(intensity[:, 0], 0.07 * np.arange(72), rtol=0, atol=1e-12)
         power = amplitudes[:, 1::2] ** 2 + amplitudes[:, 2::2] ** 2
         assert np.abs(power - intensity[:, 1:]).max() <= 1e-15
+
+    def test_single_z_sample_propagation(self, tmp_path):
+        # z_max below dz/2 keeps the launch only: a z grid of one sample
+        cfg = beam("propagate", {"z_max": 0.004, "dz": 0.01})
+        cfg["output_dir"] = str(tmp_path / "out")
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
+        grid = json.loads((tmp_path / "out" / "z_grid.json").read_text())
+        assert (grid["n_samples"], grid["dz"], grid["z_max"]) == (1, 0.01, 0.0)
 
     def test_momentum_exports_the_configured_kz_window(self, tmp_path):
         cfg = beam("momentum", {"z_max": 40.0, "kz_window": [6.5, 6.75]})
