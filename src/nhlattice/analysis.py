@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import ConfigurationError, FitError
 from .lattice import LossPattern, chain_matrix, interface_lattice, real_space_hamiltonian
@@ -259,6 +258,8 @@ def fit_oscillation(
     this: the fitted cosine turns by less than ``ZERO_FREQUENCY_PHASE`` rad
     over the fit range.
     """
+    from scipy.optimize import least_squares
+
     z = np.asarray(z, dtype=float)
     intensity = np.asarray(intensity, dtype=float)
     if fit_range is None:

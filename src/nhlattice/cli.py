@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
-import scipy
+import scipy  # for scipy.__version__ only: it loads no submodule
 
 from . import __version__, analysis, calibration, propagation, serialization, spectral
 from . import symmetry as symmetry_mod
@@ -627,8 +627,12 @@ def _check_interface_compare(c, path: str):
 def _check_calibrate(c, path: str):
     params, c["provenance"] = c["params"], None
     if params["points_file"] is not None:
+        if params["points"] is not None:
+            raise ConfigError(f"{path}.params.points_file", "give either it or params.points")
         with _reported_at(f"{path}.params.points_file"):
             params["points"], c["provenance"] = calibration.load_points(params["points_file"])
+    elif params["points"] is None:
+        params["points"] = "builtin"
     builtin = params["points"] == "builtin"
     if builtin and params["kind"] not in _BUILTIN_CURVES:
         raise ConfigError(
@@ -706,7 +710,7 @@ RUNS = {
         "model": (_one_of(calibration.MODEL_EXPONENTIAL, calibration.MODEL_LINEAR_ORIGIN,
                           calibration.MODEL_TABLE), calibration.MODEL_TABLE),
         "points": (_either(_list("a list of [x, y] pairs", PAIR), _one_of("builtin")),
-                   "builtin"),
+                   None),  # None: those of points_file, or "builtin" without one
         "points_file": (STR, None),
         "fixed_x0": (POS, None),
         "predict_at": (NUMS, None),
@@ -764,7 +768,7 @@ def validate_config(cfg: dict, path: str = "config") -> dict:
             c["pattern"] = None if p is None else _loss_pattern(p, hop, derived, "lattice.pattern")
     if run.excitation:
         e = c["excitation"]
-        where = "site" if e["kind"] == propagation.KIND_SITE else "kind"
+        where = "site" if e["site"] is not None or e["kind"] == propagation.KIND_SITE else "kind"
         with _reported_at(f"{path}.excitation.{where}"):
             c["excitation"] = Excitation.resolve(
                 e["kind"], spec, site=e["site"], amplitude=complex(*e["amplitude"])
@@ -849,9 +853,16 @@ def _scalar_for_csv(value):
 def execute_sweep(cfg: dict, out_dir: Path) -> None:
     """Run every grid point of a validated config into point_NNN/ and
     collect results.csv; a point that fails is recorded, not fatal."""
+    value = os.environ.get("NHLATTICE_WORKERS", "1")
+    try:
+        workers = int(value)
+    except ValueError:
+        workers = 0
+    if workers < 1:  # checked before anything is written
+        raise ConfigError("NHLATTICE_WORKERS",
+                          f"expected a positive integer, got {reprlib.repr(value)}")
     points = _grid_points(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = max(1, int(os.environ.get("NHLATTICE_WORKERS", "1")))
 
     def run_point(idx):
         point_dir = out_dir / f"point_{idx:03d}"

@@ -20,7 +20,6 @@ from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ConfigurationError, StepSizeError
 from .lattice import SITES_PER_CELL, LatticeSpec, real_space_hamiltonian
@@ -71,8 +70,13 @@ class Excitation:
 
         ``edge`` is site 1; ``interface`` is the recorded interface site;
         ``bulk_cell_start`` is the first site of the centermost unit cell, at
-        least two cells away from either boundary.
+        least two cells away from either boundary. Only ``site_index`` takes
+        a ``site``.
         """
+        if site is not None and kind != KIND_SITE:
+            raise ConfigurationError(
+                f"only a {KIND_SITE!r} excitation takes a site, not {kind!r}"
+            )
         if kind == KIND_EDGE:
             resolved = 1
         elif kind == KIND_INTERFACE:
@@ -179,6 +183,8 @@ def _expm_evolution(
     w, v = spectrum.eigenvalues, spectrum.right_vectors
     if spectrum.condition_numbers.max() > EIGENBASIS_MAX_COND:
         # near-defective generator: fall back to scaling-and-squaring steps
+        import scipy.linalg as sla
+
         step = sla.expm(1j * m_rot * dz)
         out = _mapped_empty((z.size, a0.size))
         out[0] = a0

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ConfigurationError, GaplessSpectrumError
 from .lattice import LossPattern, bloch_hamiltonian
@@ -52,6 +51,8 @@ def _cluster_bases(h: np.ndarray) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
     Schur vectors stay well conditioned even when the two bands inside a
     doublet coalesce. Returns ((R_lo, L_lo), (R_up, L_up)), each n x 2.
     """
+    import scipy.linalg as sla
+
     out = []
     for sel in (lambda w: w.real < 0, lambda w: w.real >= 0):
         _, z, sdim = sla.schur(h, output="complex", sort=sel)

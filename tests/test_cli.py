@@ -15,6 +15,8 @@ from nhlattice.lattice import LatticeSpec, LossPattern, real_space_hamiltonian
 from nhlattice.spectral import SPECTRUM_ORDER_RTOL, eig_full, spectrum_order
 
 FIGS = sorted(Path(__file__).resolve().parents[1].glob("configs/figs/*.json"))
+# a calibration file of the points (1, 2) and (2, 4): slope 2 through the origin
+LINEAR_POINTS = str(Path(__file__).resolve().parent / "data" / "linear_points.json")
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -183,6 +185,15 @@ CONFIG_ONLY_ERRORS = {
         "config.excitation.site",
     ),
     # fields that the chosen mode would ignore
+    "site_on_edge_excitation": (
+        beam("propagate", excitation={"kind": "edge", "site": 7}), "config.excitation.site"
+    ),
+    "points_with_points_file": (
+        {"run": "calibrate", "params": {
+            "model": "linear_through_origin", "points": [[1.0, 10.0]],
+            "points_file": LINEAR_POINTS}},
+        "config.params.points_file",
+    ),
     "fit_range_on_decay_fit": (
         beam("fit", {"fit": "decay", "fit_range": [4.0, 30.0]}), "config.params.fit_range"
     ),
@@ -552,19 +563,41 @@ class TestSweep:
         diag = json.loads((out / "point_001" / "diagnostics.json").read_text())
         assert diag["error_class"] == "LinAlgError"
 
-    def test_worker_pool_output_identical(self, tmp_path, monkeypatch):
-        cfg = spectrum_config(tmp_path, out="serial")
-        cfg["grid"] = [{"path": "lattice.pattern.g", "values": [0.7, 0.9, 1.1]}]
-        main(["run", write_config(tmp_path, cfg, "serial.json")])
-        monkeypatch.setenv("NHLATTICE_WORKERS", "3")
-        cfg2 = spectrum_config(tmp_path, out="parallel")
-        cfg2["grid"] = [{"path": "lattice.pattern.g", "values": [0.7, 0.9, 1.1]}]
-        main(["run", write_config(tmp_path, cfg2, "parallel.json")])
-        serial = read_tree(tmp_path / "serial")
-        parallel = read_tree(tmp_path / "parallel")
-        assert {k: v for k, v in serial.items() if "manifest" not in k} == {
-            k: v for k, v in parallel.items() if "manifest" not in k
-        }
+    @settings(deadline=None, max_examples=6,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.sampled_from(["spectrum", "propagate", "fit"]), st.integers(2, 3),
+        st.lists(st.sampled_from([0.7, 0.9, 1.1, 1.3]), min_size=1, max_size=3),
+    )
+    def test_worker_pool_output_identical(self, tmp_path, monkeypatch, run, workers, g_values):
+        # each sweep runs with 1 worker and with 2 or 3; an oscillation fit
+        # makes the pool threads call least_squares side by side
+        params = {"spectrum": {}, "propagate": {"z_max": 5.0},
+                  "fit": {"z_max": 20.0, "dz": 0.05, "fit": "oscillation"}}[run]
+        cfg = dict(beam(run, params), grid=[{"path": "lattice.pattern.g", "values": g_values}])
+        if run == "spectrum":
+            del cfg["excitation"]
+        trees = []
+        with tempfile.TemporaryDirectory(dir=tmp_path) as root:
+            for n in ("1", str(workers)):
+                monkeypatch.setenv("NHLATTICE_WORKERS", n)
+                out = Path(root) / f"workers_{n}"
+                path = write_config(Path(root), dict(cfg, output_dir=str(out)), f"{n}.json")
+                assert main(["run", path]) == 0
+                trees.append({k: v for k, v in read_tree(out).items() if "manifest" not in k})
+        assert trees[0] == trees[1]
+        assert len(trees[0]) > len(g_values)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "", "1.5"])
+    def test_bad_worker_count_exits_2_before_writing(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("NHLATTICE_WORKERS", value)
+        cfg = spectrum_config(tmp_path)
+        cfg["grid"] = [{"path": "lattice.pattern.g", "values": [0.7, 1.1]}]
+        assert main(["run", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: NHLATTICE_WORKERS: expected a positive integer")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_grid_path_must_exist(self, tmp_path):
         cfg = spectrum_config(tmp_path)

@@ -62,6 +62,14 @@ class TestExcitation:
         with pytest.raises(ConfigurationError):
             Excitation.resolve("site_index", lattice(LossPattern.lossless()), site=41)
 
+    @pytest.mark.parametrize("kind", ["edge", "bulk_cell_start", "interface"])
+    def test_site_only_for_site_index(self, kind):
+        iface = interface_lattice(
+            LossPattern.trivial(1.1), LossPattern.topological(1.1), 6, 6, J, D
+        )
+        with pytest.raises(ConfigurationError, match="takes a site"):
+            Excitation.resolve(kind, iface, site=7)
+
 
 class TestPropagate:
     def test_single_guide_analytic_decay(self):
