@@ -15,8 +15,8 @@ from .spectral import eig_full
 WINDOW_NONE = "none"
 WINDOW_HANN = "hann"
 
-#: kx columns per block of the momentum transform's z pass.
-_KX_BLOCK = 16
+#: kz rows per block of the momentum transform's x pass.
+_KZ_BLOCK = 512
 
 #: Decay-fit defaults: range starts in um and the range end in um.
 DECAY_FIT_STARTS = (4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0)
@@ -25,16 +25,19 @@ DECAY_FIT_END = 80.0
 
 @dataclass(frozen=True)
 class MomentumSpectrum:
-    """2D power spectrum |A(kx, kz)|^2 of a propagated field.
+    """2D power spectrum |A(kx, kz)|^2 of a propagated field, in a kz window.
 
-    ``power`` has shape (n_kz, n_kx); the kx axis covers two Brillouin zones
-    [-2*pi/d, 2*pi/d) by periodic extension. With a window the spectrum
-    satisfies the discrete Parseval identity against the windowed field.
+    ``power`` has shape (n_kz, n_kx): the rows are the kz samples of the
+    window, and the kx axis covers two Brillouin zones [-2*pi/d, 2*pi/d) by
+    periodic extension. ``total_power_one_zone`` is the power of every
+    padded kz row over one zone: by the discrete Parseval identity, the
+    energy sum |a_w|^2 of the (windowed) field.
     """
 
     kx_grid: np.ndarray
     kz_grid: np.ndarray
     power: np.ndarray
+    total_power_one_zone: float
     window: str
     pad_factor: int
 
@@ -45,20 +48,14 @@ class MomentumSpectrum:
             raise ConfigurationError("kx band contains no grid columns")
         return self.kz_grid, self.power[:, cols].mean(axis=1)
 
-    def ridge_centroids(
-        self, kz_lo: float, kz_hi: float, kx_abs_max: Optional[float] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Power-weighted kz centroid inside a window, per kx column."""
-        rows = (self.kz_grid >= kz_lo) & (self.kz_grid <= kz_hi)
-        if not np.any(rows):
-            raise ConfigurationError("kz window contains no grid rows")
+    def ridge_centroids(self, kx_abs_max: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
+        """Power-weighted kz centroid of the window, per kx column."""
         cols = np.ones(self.kx_grid.size, dtype=bool)
         if kx_abs_max is not None:
             cols = np.abs(self.kx_grid) <= kx_abs_max
-        sub = self.power[np.ix_(rows, cols)]
-        kz = self.kz_grid[rows]
+        sub = self.power[:, cols]
         weights = sub.sum(axis=0)
-        cent = (kz[:, None] * sub).sum(axis=0) / weights
+        cent = (self.kz_grid[:, None] * sub).sum(axis=0) / weights
         return self.kx_grid[cols], cent
 
 
@@ -74,32 +71,64 @@ def momentum_kz_grid(n_z: int, n_x: int, dz: float, pad_factor: int) -> np.ndarr
     return 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(pad_factor * n_z, d=dz))
 
 
+def momentum_kz_rows(kz: np.ndarray, kz_window: Sequence[float]) -> slice:
+    """The rows lo <= kz <= hi of an ascending kz axis, for ``kz_window``
+    (lo, hi); a window that holds none is a ConfigurationError."""
+    lo, hi = kz_window
+    rows = np.flatnonzero((kz >= lo) & (kz <= hi))
+    if rows.size == 0:
+        raise ConfigurationError("kz window holds no kz sample of the transform")
+    return slice(int(rows[0]), int(rows[-1]) + 1)
+
+
+def _fft_length(n: int) -> int:
+    """The smallest 2^a * 3^b * 5^c >= n, a length NumPy's FFT handles fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def momentum_spectrum(
     field: FieldEvolution,
+    kz_window: Sequence[float],
     window: str = WINDOW_HANN,
     pad_factor: int = 4,
 ) -> MomentumSpectrum:
-    """2D discrete Fourier transform of the complex field over (x, z).
+    """2D discrete Fourier transform of the complex field over (x, z), padded
+    ``pad_factor`` times along both axes, in the kz rows of ``kz_window``.
 
     With the evolution convention a ~ exp(i*beta*z) the longitudinal peak of
     a mode sits at kz = Re(beta) + Re(E). The kz axis and the field's size
-    rules are those of :func:`momentum_kz_grid`.
+    rules are those of :func:`momentum_kz_grid`, the rows those of
+    :func:`momentum_kz_rows`.
 
-    The transform runs along x once, then along z for ``_KX_BLOCK`` kx
-    columns at a time, whose power goes straight into both zones of the
-    result. Besides ``power`` (16 B per padded entry) it holds the windowed
-    field, its x transform (n_z * pad * n_x complex values) and one block of
-    the z transform at a time, never the whole padded transform.
+    Along z a chirp z-transform (Bluestein; Rabiner, Schafer & Rader 1969)
+    of the unpadded columns gives just the window's m bins, with one FFT
+    convolution of length >= n_z + m - 1. The padded x transform then runs
+    on those rows, ``_KZ_BLOCK`` at a time. Work and memory follow the
+    window, not the padded kz axis: besides ``power`` (16 B per row and
+    padded column) it holds the windowed field and the convolution buffer.
     """
     n_z, n_x = field.amplitudes.shape
     dz = field.z_grid[1] - field.z_grid[0] if n_z > 1 else 1.0  # 1 sample: rejected below
     kz = momentum_kz_grid(n_z, n_x, dz, pad_factor)
+    rows = momentum_kz_rows(kz, kz_window)
 
     a = field.amplitudes
     if window == WINDOW_HANN:
         a = a * np.hanning(n_z)[:, None] * np.hanning(n_x)[None, :]
     elif window != WINDOW_NONE:
         raise ConfigurationError(f"unknown window {window!r}")
+    total = float((np.abs(a) ** 2).sum())  # sum |a_w|^2
 
     n_zf, n_xf = pad_factor * n_z, pad_factor * n_x
     d = field.spec.spacing_d
@@ -108,23 +137,39 @@ def momentum_spectrum(
     dkx = 2.0 * np.pi / (n_xf * d)
     kx_ext = (np.arange(2 * n_xf) - n_xf) * dkx
 
-    # x pass once, then the z pass per block of kx columns: fft2's order, so
-    # the same bits. power.sum() adds in memory order, so Fortran order gives
-    # the total_power_one_zone bits of a column-by-column map.
-    ax = np.fft.fft(a, n_xf, axis=1)
-    power = np.empty((n_zf, 2 * n_xf), order="F")
-    half = n_zf // 2  # fftshift along z: row i of the result is bin i - half
-    for j0 in range(0, n_xf, _KX_BLOCK):
-        j1 = min(j0 + _KX_BLOCK, n_xf)
-        block = np.fft.fft(ax[:, j0:j1], n_zf, axis=0)
-        dest = power[:, j0:j1]
-        np.abs(block[: n_zf - half], out=dest[half:])
-        np.abs(block[n_zf - half :], out=dest[:half])
+    # fftshift along z: row i is bin i - n_zf // 2; the window holds bins
+    # b0 ... b0 + m - 1. With b*z = (b^2 + z^2 - (b - z)^2) / 2 and the chirp
+    # w_n = exp(-i*pi*n^2 / n_zf), bin b0 + k of column a(z) is
+    # w_k * sum_z [a(z) exp(-2i*pi*b0*z / n_zf) w_z] conj(w_(k-z)): a
+    # convolution. Phases are reduced as integers, so they stay exact.
+    b0, m = rows.start - n_zf // 2, rows.stop - rows.start
+    n = np.arange(max(n_z, m), dtype=np.int64)
+    chirp = np.exp(-1j * np.pi / n_zf * ((n * n) % (2 * n_zf)))
+    shift = np.exp(-2j * np.pi / n_zf * ((b0 * n[:n_z]) % n_zf))
+    length = _fft_length(n_z + m - 1)
+    kernel = np.zeros(length, dtype=complex)  # conj(w_j) at j mod length, -n_z < j < m
+    kernel[:m] = chirp[:m].conj()
+    kernel[length - n_z + 1 :] = chirp[n_z - 1 : 0 : -1].conj()
+    buf = np.zeros((n_x, length), dtype=complex)  # one column of the field per row
+    np.multiply(a.T, shift * chirp[:n_z], out=buf[:, :n_z])
+    del a  # free the windowed field before the power map exists
+    np.fft.fft(buf, axis=1, out=buf)
+    buf *= np.fft.fft(kernel)
+    np.fft.ifft(buf, axis=1, out=buf)
+
+    power = np.empty((m, 2 * n_xf))
+    block = np.empty((min(m, _KZ_BLOCK), n_xf), dtype=complex)
+    for k0 in range(0, m, _KZ_BLOCK):
+        k1 = min(k0 + _KZ_BLOCK, m)
+        fx = np.fft.fft((buf[:, k0:k1] * chirp[k0:k1]).T, n_xf, axis=1, out=block[: k1 - k0])
+        dest = power[k0:k1, :n_xf]
+        np.abs(fx, out=dest)
         np.square(dest, out=dest)
-        dest /= n_zf * n_xf  # sum(power) == sum(|a_w|^2)
-        power[:, n_xf + j0 : n_xf + j1] = dest
+        dest /= n_zf * n_xf  # over all n_zf rows, sum(power) == sum(|a_w|^2)
+        power[k0:k1, n_xf:] = dest
     return MomentumSpectrum(
-        kx_grid=kx_ext, kz_grid=kz, power=power, window=window, pad_factor=pad_factor
+        kx_grid=kx_ext, kz_grid=kz[rows], power=power, total_power_one_zone=total,
+        window=window, pad_factor=pad_factor,
     )
 
 

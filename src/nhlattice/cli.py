@@ -391,10 +391,10 @@ def _run_propagate(c, out_dir: Path):
 def _run_momentum(c, out_dir: Path):
     params = c["params"]
     ms = analysis.momentum_spectrum(
-        _propagate(c), window=params["window"], pad_factor=params["pad_factor"]
+        _propagate(c), params["kz_window"], window=params["window"],
+        pad_factor=params["pad_factor"],
     )
-    # export only the kz window's rows; the padded grid is huge
-    kz, power = ms.kz_grid[c["kz_rows"]], ms.power[c["kz_rows"]]
+    kz, power = ms.kz_grid, ms.power
     header = ["kz\\kx"] + [serialization.fmt(v) for v in ms.kx_grid]
     outputs = [
         serialization.write_csv(out_dir / "power.csv", header, np.column_stack([kz, power])),
@@ -407,7 +407,7 @@ def _run_momentum(c, out_dir: Path):
     summary = {
         "peak_kz": float(kz[peak[0]]),
         "peak_kx": float(ms.kx_grid[peak[1]]),
-        "total_power_one_zone": float(ms.power.sum() / 2.0),
+        "total_power_one_zone": ms.total_power_one_zone,
     }
     return summary, outputs
 
@@ -543,7 +543,8 @@ def _run_calibrate(c, out_dir: Path):
 
 #: Work and memory budgets: complex amplitudes a propagation stores
 #: ((z_max/dz + 1) * n_sites); entries of the padded momentum transform
-#: (pad_factor^2 * n_z * n_sites), each 16 B of the two-zone power map; points
+#: (pad_factor^2 * n_z * n_sites), each 16 B of the two-zone power map of a
+#: kz window over the whole axis, the worst case; points
 #: of a J or g2 scan; and sites of any lattice a run builds, whose dense
 #: matrix takes 16 * n_sites^2 B (64 MB at the bound).
 MAX_AMPLITUDES = 20_000_000
@@ -577,10 +578,8 @@ def _check_momentum(c, path: str):
         kz = analysis.momentum_kz_grid(n_z, spec.n_sites, params["dz"], pad)
     if params["kz_window"] is None:  # the band region around re_beta
         params["kz_window"] = [spec.re_beta - 0.6, spec.re_beta + 0.6]
-    lo, hi = params["kz_window"]
-    c["kz_rows"] = (kz >= lo) & (kz <= hi)
-    if not c["kz_rows"].any():
-        raise ConfigError(f"{path}.params.kz_window", "holds no kz sample of the transform")
+    with _reported_at(f"{path}.params.kz_window"):
+        analysis.momentum_kz_rows(kz, params["kz_window"])
 
 
 def _check_fit(c, path: str):

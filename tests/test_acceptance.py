@@ -134,19 +134,15 @@ def test_criterion_05_momentum_spectra():
 
     spec_iii = uniform(LossPattern.topological(1.1), n_sites=48, re_beta=6.6)
     field = propagate(spec_iii, Excitation.resolve("edge", spec_iii), z_max=80.0)
-    ms = nh.momentum_spectrum(field)
-    kx, centroids = ms.ridge_centroids(
-        6.6 - 0.39 * gap, 6.6 + 0.39 * gap, kx_abs_max=2 * np.pi / D
-    )
+    ms = nh.momentum_spectrum(field, (6.6 - 0.39 * gap, 6.6 + 0.39 * gap))
+    kx, centroids = ms.ridge_centroids(kx_abs_max=2 * np.pi / D)
     assert abs(centroids.mean() - 6.59) <= 0.04
     variation = centroids.max() - centroids.min()
     assert variation < 0.25 * gap
 
     field_ii = propagate(spec_ii, Excitation.resolve("edge", spec_ii), z_max=80.0)
-    ms_ii = nh.momentum_spectrum(field_ii)
+    ms_ii = nh.momentum_spectrum(field_ii, (6.4, 6.8))
     kz, prof = ms_ii.band_profile(-0.65 * np.pi / D, -0.35 * np.pi / D)
-    sel = (kz > 6.4) & (kz < 6.8)
-    kz, prof = kz[sel], prof[sel]
     lo_peak = prof[kz < 6.56].max()
     hi_peak = prof[kz > 6.60].max()
     in_gap = prof[(kz >= 6.56) & (kz <= 6.60)]

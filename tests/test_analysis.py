@@ -9,6 +9,7 @@ from nhlattice.analysis import (
     fit_decay,
     fit_oscillation,
     interface_vs_defect,
+    momentum_kz_grid,
     momentum_spectrum,
 )
 from nhlattice.calibration import default_hopping_curve
@@ -38,19 +39,35 @@ def edge_field_iii():
     return propagate(spec, Excitation.resolve("edge", spec), z_max=80.0)
 
 
+# the band region around re_beta = 6.6 that a momentum run exports by default
+BAND = (6.0, 7.2)
+
+
+def random_field(n_x, n_z, seed):
+    spec = lattice(LossPattern.topological(1.1), n_sites=n_x)
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal((n_x, n_z)) + 1j * rng.standard_normal((n_x, n_z))
+    # F-ordered like a propagated field
+    return FieldEvolution(z_grid=np.arange(n_z) * 0.0125, amplitudes=amps.T, spec=spec)
+
+
 class TestMomentumSpectrum:
     def test_minimum_grid_sizes(self):
         spec = lattice(LossPattern.lossless(), n_sites=4)
         field = propagate(spec, Excitation.resolve("edge", spec), z_max=10.0, dz=0.1)
         with pytest.raises(ConfigurationError):
-            momentum_spectrum(field)
+            momentum_spectrum(field, BAND)
         spec8 = lattice(LossPattern.lossless(), n_sites=8)
         short = propagate(spec8, Excitation.resolve("edge", spec8), z_max=3.0, dz=0.1)
         with pytest.raises(ConfigurationError):
-            momentum_spectrum(short)
+            momentum_spectrum(short, BAND)
+
+    def test_empty_kz_window_rejected(self, edge_field_iii):
+        with pytest.raises(ConfigurationError):
+            momentum_spectrum(edge_field_iii, (400.0, 401.0))  # beyond pi/dz
 
     def test_parseval_over_one_zone(self, edge_field_iii):
-        ms = momentum_spectrum(edge_field_iii, window="hann", pad_factor=2)
+        ms = momentum_spectrum(edge_field_iii, (-np.inf, np.inf), window="hann", pad_factor=2)
         n_z, n_x = edge_field_iii.amplitudes.shape
         windowed = (
             edge_field_iii.amplitudes
@@ -58,12 +75,12 @@ class TestMomentumSpectrum:
             * np.hanning(n_x)[None, :]
         )
         # the kx axis repeats the zone twice, so halve the total
-        total = ms.power.sum() / 2.0
         expected = (np.abs(windowed) ** 2).sum()
-        assert abs(total - expected) <= 1e-6 * expected
+        assert abs(ms.power.sum() / 2.0 - expected) <= 1e-6 * expected
+        assert abs(ms.total_power_one_zone - expected) <= 1e-6 * expected
 
     def test_kx_axis_covers_two_zones_periodically(self, edge_field_iii):
-        ms = momentum_spectrum(edge_field_iii)
+        ms = momentum_spectrum(edge_field_iii, BAND)
         assert ms.kx_grid[0] == pytest.approx(-2 * np.pi / D)
         assert ms.kx_grid[-1] < 2 * np.pi / D
         n = ms.kx_grid.size // 2
@@ -73,7 +90,7 @@ class TestMomentumSpectrum:
         # analytic dispersion oracle: kz(kx) = re_beta + 2J cos(kx d)
         spec = lattice(LossPattern.lossless())
         field = propagate(spec, Excitation.resolve("bulk_cell_start", spec), z_max=80.0)
-        ms = momentum_spectrum(field)
+        ms = momentum_spectrum(field, BAND)
         cols = np.abs(ms.kx_grid) <= np.pi / D
         worst = 0.0
         for ix in np.nonzero(cols)[0][::8]:
@@ -84,7 +101,7 @@ class TestMomentumSpectrum:
 
     @staticmethod
     def fft2_reference(field, window, pad):
-        """The power map as one fft2 of the whole padded field."""
+        """The power map as one fft2 of the whole padded field, and sum |a_w|^2."""
         a = field.amplitudes
         n_z, n_x = a.shape
         if window == "hann":
@@ -92,48 +109,67 @@ class TestMomentumSpectrum:
         n_zf, n_xf = pad * n_z, pad * n_x
         power = np.abs(np.fft.fft2(a, s=(n_zf, n_xf))) ** 2 / (n_zf * n_xf)
         power = np.fft.fftshift(power, axes=0)
-        return power[:, np.tile(np.arange(n_xf), 2)]
+        return power[:, np.tile(np.arange(n_xf), 2)], (np.abs(a) ** 2).sum()
+
+    @given(
+        n_x=st.integers(8, 20), n_z=st.integers(64, 300), pad=st.integers(1, 4),
+        window=st.sampled_from(["hann", "none"]), data=st.data(),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_window_rows_match_fft2(self, n_x, n_z, pad, window, data):
+        field = random_field(n_x, n_z, seed=n_x * n_z)
+        kz = momentum_kz_grid(n_z, n_x, 0.0125, pad)
+        last = kz.size - 1
+        i0, i1 = data.draw(st.one_of(
+            st.sampled_from([(0, 0), (last, last), (0, last)]),  # one end row, whole axis
+            st.lists(st.integers(0, last), min_size=2, max_size=2).map(sorted),
+        ))
+        ms = momentum_spectrum(field, (kz[i0], kz[i1]), window=window, pad_factor=pad)
+        ref, total = self.fft2_reference(field, window, pad)
+        assert np.array_equal(ms.kz_grid, kz[i0 : i1 + 1])
+        assert np.abs(ms.power - ref[i0 : i1 + 1]).max() <= 1e-13 * ref.max()
+        assert abs(ms.total_power_one_zone - total) <= 1e-13 * total
 
     @pytest.mark.parametrize("n_x, n_z, pad, window", [
-        (48, 301, 4, "hann"),  # 12 full kx blocks
-        (9, 201, 3, "none"),  # a partial block, odd padded z length
+        (48, 301, 4, "hann"),  # fig2c's n_x, above the property's range
+        (9, 201, 3, "none"),  # odd padded z length
         (8, 64, 1, "hann"),
     ])
     def test_blocked_transform_matches_fft2_bit_for_bit(self, n_x, n_z, pad, window):
-        spec = lattice(LossPattern.topological(1.1), n_sites=n_x)
-        rng = np.random.default_rng(n_x)
-        amps = rng.standard_normal((n_x, n_z)) + 1j * rng.standard_normal((n_x, n_z))
-        # F-ordered like a propagated field
-        field = FieldEvolution(z_grid=np.arange(n_z) * 0.0125, amplitudes=amps.T, spec=spec)
-        ms = momentum_spectrum(field, window=window, pad_factor=pad)
-        ref = self.fft2_reference(field, window, pad)
-        assert np.array_equal(ms.power, ref)
-        assert ms.power.flags.f_contiguous
-        assert ms.power.sum() == ref.sum()
+        # pinned whole-axis cases: the kz axis, the one-zone total and the
+        # second kx zone are bit for bit; the chirp z-transform rounds
+        # differently from fft2, so the power is held to 1e-13 of the maximum
+        field = random_field(n_x, n_z, seed=n_x)
+        ms = momentum_spectrum(field, (-np.inf, np.inf), window=window, pad_factor=pad)
+        ref, total = self.fft2_reference(field, window, pad)
+        n_xf = pad * n_x
+        assert np.array_equal(ms.kz_grid, momentum_kz_grid(n_z, n_x, 0.0125, pad))
+        assert ms.total_power_one_zone == total
+        assert np.array_equal(ms.power[:, :n_xf], ms.power[:, n_xf:])
+        assert ms.power.shape == ref.shape
+        assert np.abs(ms.power - ref).max() <= 1e-13 * ref.max()
 
-    def test_peak_memory_stays_near_the_power_map(self):
-        # fig2c's size: 8001 z samples of 48 sites, padded 4x
-        spec = lattice(LossPattern.topological(1.1))
-        rng = np.random.default_rng(0)
-        amps = (rng.standard_normal((48, 8001)) + 1j * rng.standard_normal((48, 8001))).T
-        field = FieldEvolution(z_grid=np.arange(8001) * 0.0125, amplitudes=amps, spec=spec)
+    @pytest.mark.parametrize("kz_window, bound", [
+        (BAND, lambda field, ms: 8 * field.amplitudes.nbytes),
+        ((-np.inf, np.inf), lambda field, ms: 1.6 * ms.power.nbytes),
+    ], ids=["band", "whole_axis"])
+    def test_peak_memory_follows_the_kz_window(self, kz_window, bound):
+        field = random_field(48, 8001, seed=0)  # fig2c's size, padded 4x
         tracemalloc.start()
         try:
-            ms = momentum_spectrum(field)
+            ms = momentum_spectrum(field, kz_window)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.6 * ms.power.nbytes
+        assert peak <= bound(field, ms)
 
     def test_flat_band_width_shrinks_with_propagation_length(self):
         spec = lattice(LossPattern.topological(1.1))
         widths = []
         for z_max in (25.0, 50.0, 100.0):
             field = propagate(spec, Excitation.resolve("edge", spec), z_max=z_max)
-            ms = momentum_spectrum(field)
+            ms = momentum_spectrum(field, (6.3, 6.9))
             kz, prof = ms.band_profile(-np.pi / D, np.pi / D)
-            sel = (kz > 6.3) & (kz < 6.9)
-            kz, prof = kz[sel], prof[sel]
             above = prof >= prof.max() / 2
             widths.append(kz[above].max() - kz[above].min())
         assert widths[0] > widths[1] > widths[2]

@@ -701,6 +701,30 @@ class TestRunnerOptions:
         assert np.array_equal(axes["kz"], kz)
 
 
+    def test_momentum_power_matches_fft2_of_the_saved_field(self, tmp_path):
+        field = {"z_max": 10.0, "dz": 0.0125}
+        cfgs = {
+            "field": beam("propagate", dict(field, save_amplitudes=True)),
+            "map": beam("momentum", dict(field, window="none", pad_factor=3)),
+        }
+        for name, cfg in cfgs.items():
+            cfg["output_dir"] = str(tmp_path / name)
+            assert main(["run", write_config(tmp_path, cfg, f"{name}.json")]) == 0
+        table = np.loadtxt(tmp_path / "field" / "amplitudes.csv", delimiter=",", skiprows=1)
+        a = table[:, 1::2] + 1j * table[:, 2::2]
+        n_zf, n_xf = 3 * a.shape[0], 3 * a.shape[1]
+        ref = np.abs(np.fft.fft2(a, s=(n_zf, n_xf))) ** 2 / (n_zf * n_xf)
+        ref = np.fft.fftshift(ref, axes=0)[:, np.tile(np.arange(n_xf), 2)]
+        kz_axis = 2 * np.pi * np.fft.fftshift(np.fft.fftfreq(n_zf, d=0.0125))
+        power = np.loadtxt(tmp_path / "map" / "power.csv", delimiter=",", skiprows=1)
+        rows = np.isin(kz_axis, power[:, 0])
+        assert rows.sum() == power.shape[0] > 1
+        assert np.abs(power[:, 1:] - ref[rows]).max() <= 1e-13 * ref.max()
+        total = json.loads((tmp_path / "map" / "manifest.json").read_text())["summary"]
+        expected = (np.abs(a) ** 2).sum()
+        assert abs(total["total_power_one_zone"] - expected) <= 1e-13 * expected
+
+
 class TestSpectrumOrder:
     def test_rounding_perturbation_keeps_row_order(self):
         # fig1b point_000: half of this phase-II spectrum sits in pairs of equal Re E
