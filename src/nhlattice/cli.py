@@ -344,13 +344,22 @@ def _run_spectrum(c, out_dir: Path):
     return summary, outputs
 
 
-def _propagate(c):
+def _propagate(c, save_every: int = 1):
     p = c["params"]
-    return propagation.propagate(c["spec"], c["excitation"], p["z_max"], p["dz"], p["method"])
+    return propagation.propagate(
+        c["spec"], c["excitation"], p["z_max"], p["dz"], p["method"], save_every
+    )
+
+
+def _n_samples(params: dict) -> int:
+    """The number of samples of the whole z grid, round(z_max / dz) + 1."""
+    return round(params["z_max"] / params["dz"]) + 1
 
 
 def _write_field(field, out_dir: Path, params: dict):
-    keep = slice(0, None, params["save_every"])
+    n_samples = _n_samples(params)
+    # every save_every-th sample; the field's appended last sample is not one
+    keep = slice(0, (n_samples - 1) // params["save_every"] + 1)
     z = field.z_grid[keep]
     header = ["z"] + [f"site{j + 1}" for j in range(field.spec.n_sites)]
     outputs = [serialization.write_csv(
@@ -361,7 +370,7 @@ def _write_field(field, out_dir: Path, params: dict):
         "z_max": float(field.z_grid[-1]),
         "dz": float(params["dz"]),  # the z grid's step; it may hold one sample only
         "save_every": int(params["save_every"]),
-        "n_samples": int(field.z_grid.size),
+        "n_samples": n_samples,  # of the whole grid, not only the written ones
         "n_sites": int(field.spec.n_sites),
         "spacing_d": float(field.spec.spacing_d),
         "re_beta": float(field.spec.re_beta),
@@ -377,7 +386,7 @@ def _write_field(field, out_dir: Path, params: dict):
 
 
 def _run_propagate(c, out_dir: Path):
-    field, site = _propagate(c), c["excitation"].site
+    field, site = _propagate(c, c["params"]["save_every"]), c["excitation"].site
     outputs = _write_field(field, out_dir, c["params"])
     last = field.intensities(-1)
     summary = {
@@ -541,8 +550,9 @@ def _run_calibrate(c, out_dir: Path):
 # each run's checks on the resolved config, run by validate_config: work
 # budgets, cross-field rules and the params that depend on the model
 
-#: Work and memory budgets: complex amplitudes a propagation stores
-#: ((z_max/dz + 1) * n_sites); entries of the padded momentum transform
+#: Work and memory budgets: amplitudes (z_max/dz + 1) * n_sites, which bounds
+#: the samples a propagation steps through and the whole grid that momentum and
+#: fit runs keep; entries of the padded momentum transform
 #: (pad_factor^2 * n_z * n_sites), each 16 B of the two-zone power map of a
 #: kz window over the whole axis, the worst case; points
 #: of a J or g2 scan; and sites of any lattice a run builds, whose dense
@@ -562,11 +572,11 @@ def _over_budget(path: str, what: str, budget: int, *factors):
 
 
 def _check_field(c, path: str) -> int:
-    """The number of z samples, round(z_max / dz) + 1, that propagate keeps."""
+    """The number of samples of the whole z grid, after the amplitude budget."""
     params = c["params"]
     _over_budget(f"{path}.params", "stored amplitudes (z_max/dz + 1) * n_sites",
                  MAX_AMPLITUDES, params["z_max"] / params["dz"] + 1.0, c["spec"].n_sites)
-    return round(params["z_max"] / params["dz"]) + 1
+    return _n_samples(params)
 
 
 def _check_momentum(c, path: str):

@@ -679,6 +679,26 @@ class TestRunnerOptions:
         power = amplitudes[:, 1::2] ** 2 + amplitudes[:, 2::2] ** 2
         assert np.abs(power - intensity[:, 1:]).max() <= 1e-15
 
+    @pytest.mark.parametrize("method", ["expm", "rk4"])
+    def test_save_every_writes_rows_of_the_full_run(self, tmp_path, method):
+        # 501 samples; 7 does not divide 500, so the last sample is computed
+        # for the summary but not written
+        def run(save_every):
+            cfg = beam("propagate", {"z_max": 5.0, "method": method, "save_every": save_every,
+                                     "save_amplitudes": True})
+            cfg["output_dir"] = str(tmp_path / f"out{save_every}")
+            assert main(["run", write_config(tmp_path, cfg)]) == 0
+            return tmp_path / f"out{save_every}"
+
+        full, kept = run(1), run(7)
+        for name in ("intensity.csv", "amplitudes.csv"):
+            header, *rows = (full / name).read_text().splitlines()
+            assert (kept / name).read_text().splitlines() == [header, *rows[::7]]
+        summary = [json.loads((d / "manifest.json").read_text())["summary"] for d in (full, kept)]
+        assert summary[0] == summary[1]
+        grid = json.loads((kept / "z_grid.json").read_text())
+        assert (grid["n_samples"], grid["save_every"], grid["z_max"]) == (501, 7, 5.0)
+
     def test_single_z_sample_propagation(self, tmp_path):
         # z_max below dz/2 keeps the launch only: a z grid of one sample
         cfg = beam("propagate", {"z_max": 0.004, "dz": 0.01})

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nhlattice.errors import ConfigurationError, StepSizeError
@@ -24,6 +24,14 @@ def lattice(pattern, n_sites=40, re_beta=0.0):
     return LatticeSpec(
         n_sites=n_sites, hopping_J=J, spacing_d=D, pattern=pattern, re_beta=re_beta
     )
+
+
+def kept_steps(n_steps, save_every):
+    """Steps 0, s, 2s, ... and the last step, written out independently."""
+    keep = list(range(0, n_steps + 1, save_every))
+    if keep[-1] != n_steps:
+        keep.append(n_steps)
+    return np.array(keep)
 
 
 def single_lossy_guide(im_beta=0.1, re_beta=6.6):
@@ -162,8 +170,25 @@ class TestPropagate:
         m = coupled_mode_matrix(spec)
         a0 = np.zeros(24, dtype=complex)
         a0[0] = 1.0
-        with pytest.raises(StepSizeError):
-            _rk4(m, a0, n_steps=200, dz=40.0)
+        with pytest.raises(StepSizeError) as err:
+            _rk4(m, a0, np.array([0, 200]), dz=40.0)
+        assert err.value.diagnostics["step"] == 1
+
+    def test_rk4_checks_steps_it_does_not_record(self):
+        # at dz = 27 the total intensity of this launch first grows on step 6;
+        # the check must catch it there however few steps are recorded
+        spec = lattice(LossPattern.topological(1.1), n_sites=24, re_beta=0.0)
+        m = coupled_mode_matrix(spec)
+        a0 = np.zeros(24, dtype=complex)
+        a0[0] = 1.0
+        with pytest.raises(StepSizeError) as every:
+            _rk4(m, a0, np.arange(201), dz=27.0)
+        assert every.value.diagnostics["step"] == 6
+        _rk4(m, a0, np.array([0, 5]), dz=27.0)  # no growth up to step 5
+        for keep in ([0, 200], [0, 4, 8, 200], [0, 5, 7]):
+            with pytest.raises(StepSizeError) as sparse:
+                _rk4(m, a0, np.array(keep), dz=27.0)
+            assert sparse.value.diagnostics == every.value.diagnostics
 
     def test_expm_falls_back_on_defective_generator(self):
         # a complex-symmetric exceptional point: n = [[0.045i, 0.045],
@@ -174,9 +199,13 @@ class TestPropagate:
         assert eig_full(m).condition_numbers.max() > EIGENBASIS_MAX_COND
         a0 = np.array([0.0, 1.0 + 0j])
         z = np.arange(101) * 0.5
-        out = _expm_evolution(m, a0, z, 0.5)
+        out = _expm_evolution(m, a0, np.arange(101), 0.5)
         exact = np.exp(-0.05 * z)[:, None] * (a0 + 1j * z[:, None] * (n @ a0))
         assert np.abs(out - exact).max() < 1e-12
+        # the fallback steps through every sample and records only the kept ones
+        for save_every in range(1, 102):
+            keep = kept_steps(100, save_every)
+            assert np.array_equal(_expm_evolution(m, a0, keep, 0.5), out[keep])
 
     @pytest.mark.parametrize("n_z", [300, 2049, 2500])
     def test_blocked_expm_matches_one_shot_product(self, n_z):
@@ -188,7 +217,7 @@ class TestPropagate:
         coeff = np.linalg.solve(v, a0)
         z = np.arange(n_z) * 0.01
         one_shot = v @ (np.exp(1j * w[:, None] * z[None, :]) * coeff[:, None])
-        assert np.array_equal(_expm_evolution(m, a0, z, 0.01), one_shot.T)
+        assert np.array_equal(_expm_evolution(m, a0, np.arange(n_z), 0.01), one_shot.T)
 
     def test_unknown_method(self):
         spec = lattice(LossPattern.lossless(), n_sites=8)
@@ -205,6 +234,40 @@ class TestPropagate:
         assert np.array_equal(field.intensities(-1), full[-1])
         assert np.array_equal(field.site_trace(3)[1], full[:, 2])
 
+    def test_save_every_must_be_positive(self):
+        spec = lattice(LossPattern.lossless(), n_sites=8)
+        with pytest.raises(ConfigurationError, match="save_every"):
+            propagate(spec, Excitation.resolve("edge", spec), save_every=0)
+
+
+@st.composite
+def steps_and_save_every(draw):
+    """Up to 2600 steps (three z blocks), and a save_every that divides the
+    step count or any one from 1 to one past it."""
+    n_steps = draw(st.integers(1, 2600))
+    divisors = [s for s in range(1, n_steps + 1) if n_steps % s == 0]
+    return n_steps, draw(st.one_of(st.sampled_from(divisors), st.integers(1, n_steps + 1)))
+
+
+class TestKeptSamples:
+    @settings(deadline=None, max_examples=40)
+    @given(method=st.sampled_from(["expm", "rk4"]), n_sites=st.sampled_from([12, 48]),
+           grid=steps_and_save_every())
+    @example(method="expm", n_sites=48, grid=(2500, 3))
+    @example(method="rk4", n_sites=12, grid=(2049, 16))
+    def test_kept_rows_equal_full_rows(self, method, n_sites, grid):
+        # lossy sites with a global phase
+        n_steps, save_every = grid
+        spec = lattice(LossPattern.topological(1.1), n_sites=n_sites, re_beta=6.6)
+        exc = Excitation.resolve("edge", spec)
+        z_max, dz = n_steps * 0.01, 0.01
+        full = propagate(spec, exc, z_max, dz, method)
+        kept = propagate(spec, exc, z_max, dz, method, save_every=save_every)
+        keep = kept_steps(n_steps, save_every)
+        assert full.z_grid.size == n_steps + 1
+        assert np.array_equal(kept.z_grid, full.z_grid[keep])
+        assert np.array_equal(kept.amplitudes, full.amplitudes[keep])
+        assert np.array_equal(kept.amplitudes[-1], full.amplitudes[-1])
 
 
 # on-site terms with Im <= 0 in the Hamiltonian: every site absorbs or is lossless
@@ -260,4 +323,5 @@ class TestRk4Stencil:
         a0 = np.zeros(spec.n_sites, dtype=complex)
         a0[min(site, spec.n_sites) - 1] = 1.0
         ref = dense_rk4(m_rot, a0, 300, dz)
-        assert np.abs(_rk4(m_rot, a0, 300, dz) - ref).max() <= 1e-14 * np.abs(ref).max()
+        out = _rk4(m_rot, a0, np.arange(301), dz)
+        assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
