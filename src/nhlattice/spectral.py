@@ -250,18 +250,38 @@ def _rayleigh_quotient_iteration(d, e, shift, x, stop):
     return shift, x, resid
 
 
-def _joint_overlap_pair(prev_pair: np.ndarray, vr: np.ndarray, J: float, overlap_min: float):
-    """Columns of ``vr`` continuing the two columns of ``prev_pair``."""
+#: Overlaps within this share of the best one count as equal when
+#: ``ep_sweep`` continues its pair by eigenvector overlap; the lower Re E,
+#: then the lower Im E, wins.
+OVERLAP_TIE_RTOL = 1e-9
+
+
+def _best_overlap(ov: np.ndarray, eigenvalues: np.ndarray, skip: int | None = None) -> int:
+    """The column of largest overlap ``ov``, other than ``skip``; of columns
+    within ``OVERLAP_TIE_RTOL`` of the largest, the one with the lowest
+    Re E, then the lowest Im E."""
+    if skip is not None:
+        ov = ov.copy()
+        ov[skip] = -np.inf
+    near = np.flatnonzero(ov >= (1.0 - OVERLAP_TIE_RTOL) * ov.max())
+    return int(near[np.lexsort((eigenvalues.imag[near], eigenvalues.real[near]))[0]])
+
+
+def _joint_overlap_pair(prev_pair: np.ndarray, vr: np.ndarray, eigenvalues: np.ndarray,
+                        J: float, overlap_min: float):
+    """Columns of ``vr``, the eigenvectors of ``eigenvalues``, continuing the
+    two columns of ``prev_pair``. A tracked mode that has just passed a
+    coalescence with an untracked one overlaps both modes it split into
+    equally; the tie rule of ``_best_overlap``, not rounding, picks one."""
     ov = np.abs(prev_pair.conj().T @ vr)  # (2, n): rows old, cols new
-    order0 = np.argsort(ov[0])[::-1]
-    order1 = np.argsort(ov[1])[::-1]
-    a, b = int(order0[0]), int(order1[0])
+    a, b = _best_overlap(ov[0], eigenvalues), _best_overlap(ov[1], eigenvalues)
     if a == b:
         # both prefer the same column: resolve by best joint overlap
-        if ov[0, order0[0]] * ov[1, order1[1]] >= ov[0, order0[1]] * ov[1, order1[0]]:
-            b = int(order1[1])
+        a2, b2 = _best_overlap(ov[0], eigenvalues, a), _best_overlap(ov[1], eigenvalues, b)
+        if ov[0, a] * ov[1, b2] >= ov[0, a2] * ov[1, b]:
+            b = b2
         else:
-            a = int(order0[1])
+            a = a2
     lo = min(ov[0, a], ov[1, b])
     if lo < overlap_min:
         raise ModeTrackingError(
@@ -359,11 +379,12 @@ def ep_sweep(
     overlaps its predecessor by at least ``overlap_min``. Otherwise, as near
     a coalescence, ``eig_full`` runs on H(J) and the pair is continued by
     maximal joint eigenvector overlap, raising :class:`ModeTrackingError`
-    below ``overlap_min``. Each row of ``pair_eigenvalues`` lists the higher
-    Re E first; a pair whose Re E agree within ``SPECTRUM_ORDER_RTOL *
-    ||H||`` lists the lower Im E first. The estimate ``J_ep`` is the
-    separation minimum of the scan, flagged when it sits at either end of
-    the scan.
+    below ``overlap_min``; of overlaps within ``OVERLAP_TIE_RTOL`` of the
+    best, the lowest Re E, then the lowest Im E, wins. Each row of
+    ``pair_eigenvalues`` lists the higher Re E first; a pair whose Re E
+    agree within ``SPECTRUM_ORDER_RTOL * ||H||`` lists the lower Im E first.
+    The estimate ``J_ep`` is the separation minimum of the scan, flagged
+    when it sits at either end of the scan.
     """
     require_interface(base)
     J_values = np.asarray(sorted(float(j) for j in J_range))
@@ -398,7 +419,7 @@ def ep_sweep(
                 weight = (np.abs(vr[sel_sites, :]) ** 2).sum(axis=0)
                 pair_idx = _first_pair(weight, spec.eigenvalues.real)
             else:
-                pair_idx = _joint_overlap_pair(prev_pair, vr, J, overlap_min)
+                pair_idx = _joint_overlap_pair(prev_pair, vr, spec.eigenvalues, J, overlap_min)
             prev_pair = vr[:, pair_idx]
             pair_eigs[idx] = spec.eigenvalues[pair_idx]
             conds[idx] = spec.condition_numbers[pair_idx]

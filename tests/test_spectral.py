@@ -17,6 +17,7 @@ from nhlattice.lattice import (
 from nhlattice.spectral import (
     eig_full,
     ep_sweep,
+    _best_overlap,
     _first_pair,
     _rayleigh_quotient_iteration,
     find_zero_modes,
@@ -427,6 +428,60 @@ class TestEPSweepTracking:
         weight = np.array([0.3, 1.0, 1.0 - 0.8 * tol, 1.0 - 1.6 * tol])
         assert _first_pair(weight, np.array([-5.0, 3.0, 2.0, 1.0])) == [2, 1]
         assert _first_pair(weight, np.array([-5.0, 1.0, 2.0, 3.0])) == [1, 2]
+
+    def test_overlap_tie_takes_lower_re(self, monkeypatch):
+        # at J = 0.06 a tracked mode has just passed a coalescence and
+        # overlaps the two modes it split into equally, to 4e-16; beta
+        # changed at the size of its rounding must not flip the sign of the
+        # tracked Re E from then on
+        J_values = np.arange(0.04, 0.12001, 0.005)
+        onsite = LatticeSpec.onsite_values
+        runs = []
+        for scale in (1.0, 1.0 + 4e-16, 1.0 - 4e-16):
+            monkeypatch.setattr(LatticeSpec, "onsite_values",
+                                lambda self, s=scale: onsite(self) * s)
+            base = interface_lattice(
+                LossPattern.from_g(0, 0.25, -1.25), LossPattern.from_g(0, 0.25, 1.25), 4, 4,
+                J, D, re_beta=0.0,
+            )
+            runs.append(ep_sweep(base, J_values).pair_eigenvalues[J_values > 0.0599])
+        for run in runs:
+            assert np.array_equal(np.sign(run.real), np.sign(runs[0].real))
+        assert np.all(runs[0][:, 0].real < 0)  # the lower of the two split modes
+
+        # the benchmark's asymmetric sweep on the J grid an ep-sweep config
+        # scans, j_min + i * j_step, meets such a tie (to 6e-13) at J = 0.067.
+        # Rounding used to take the upper branch there: from then on mode a
+        # is the mirror image 2 re_beta - conj(E) of those rows, which are
+        # kept here as written by the earlier ep_sweep.csv
+        base = interface_lattice(
+            LossPattern.from_g(2.0, 0.5, -1.0), LossPattern.from_g(2.0, 0.5, 1.0), 6, 6,
+            J, D, re_beta=6.6,
+        )
+        res = ep_sweep(base, [0.04 + i * 0.001 for i in range(81)])
+        earlier = {
+            26: (6.6000000000000414 - 0.085500484280553027j,
+                 6.4856833182826215 - 0.099894650672245011j),
+            27: (6.6009335669443185 - 0.086380997495529813j,
+                 6.4836727134576453 - 0.099586664205758693j),
+            80: (6.6077063131469718 - 0.088693211181667328j,
+                 6.3782893041667528 - 0.09293192456121932j),
+        }
+        bound = 1e-12 * np.linalg.norm(hopping_chain(base, 0.12))
+        for row, (a, b) in earlier.items():
+            if row > 26:
+                a = 2 * 6.6 - np.conj(a)
+            assert np.abs(res.pair_eigenvalues[row] - [a, b]).max() <= bound
+
+        # overlaps within the tolerance tie, and the lower Re E, then the
+        # lower Im E, wins; a column farther off does not join the tie
+        tol = spectral.OVERLAP_TIE_RTOL
+        ov = np.array([0.3, 0.9, 0.9 * (1 - 0.5 * tol), 0.9 * (1 - 2 * tol), 0.9])
+        eigs = np.array([-9.0, 1.0 + 1j, 0.5, -1.0, 1.0 - 1j])
+        assert _best_overlap(ov, eigs) == 2
+        assert _best_overlap(ov, eigs, skip=2) == 4
+        assert _best_overlap(ov[:2], eigs[:2], skip=1) == 0
+
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestEPSweep:
