@@ -554,9 +554,9 @@ def _run_calibrate(c, out_dir: Path):
 #: the samples a propagation steps through and the whole grid that momentum and
 #: fit runs keep; entries of the padded momentum transform
 #: (pad_factor^2 * n_z * n_sites), each 16 B of the two-zone power map of a
-#: kz window over the whole axis, the worst case; points
-#: of a J or g2 scan; and sites of any lattice a run builds, whose dense
-#: matrix takes 16 * n_sites^2 B (64 MB at the bound).
+#: kz window over the whole axis, the worst case; points of a J or g2 scan,
+#: or of a winding or symmetry k grid; and sites of any lattice a run builds,
+#: whose dense matrix takes 16 * n_sites^2 B (64 MB at the bound).
 MAX_AMPLITUDES = 20_000_000
 MAX_TRANSFORM = 50_000_000
 MAX_SCAN = 10_000
@@ -606,6 +606,11 @@ def _check_fit(c, path: str):
 def _check_winding(c, path: str):
     if (c["params"]["g2_values"] is None) == (c["pattern"] is None):
         raise ConfigError(f"{path}.lattice.pattern", "give exactly one of it and params.g2_values")
+    _over_budget(f"{path}.params.k_grid_size", "k points", MAX_SCAN, c["params"]["k_grid_size"])
+
+
+def _check_symmetry(c, path: str):
+    _over_budget(f"{path}.params.k_samples", "k points", MAX_SCAN, c["params"]["k_samples"])
 
 
 def _check_scan(c, path: str, name: str) -> float:
@@ -694,7 +699,7 @@ RUNS = {
             symmetry_mod.CASE_NONTRIVIAL, symmetry_mod.CASE_TRIVIAL)),
             (symmetry_mod.CASE_NONTRIVIAL, symmetry_mod.CASE_TRIVIAL)),
         "k_samples": (_int(1), 32),
-    }),
+    }, _check_symmetry),
     "ep-sweep": Run(_run_ep_sweep, "interface", False, {
         "j_min": (POS, 0.04),
         "j_max": (POS, 0.12),

@@ -179,7 +179,7 @@ class LatticeSpec:
         return np.concatenate(parts)
 
 
-def bloch_hamiltonian(k: float, pattern: LossPattern, d: float) -> np.ndarray:
+def bloch_hamiltonian(k, pattern: LossPattern, d: float) -> np.ndarray:
     """4x4 Bloch matrix, in units of J, of the infinite lattice of
     ``pattern`` with site spacing ``d`` (um) at wave number ``k`` (1/um).
 
@@ -187,19 +187,15 @@ def bloch_hamiltonian(k: float, pattern: LossPattern, d: float) -> np.ndarray:
     ``exp(+4ikd)``, so the matrix is periodic in k with period pi/(2d).
     Multiply by J for 1/um. The uniform ``re_beta`` offset is not included:
     it shifts all bands identically and carries no band-structure
-    information.
+    information. A 1-D array of k gives the (n_k, 4, 4) stack, whose
+    matrices have the bits of the scalar calls.
     """
-    phase = np.exp(4j * k * d)
-    h = np.array(
-        [
-            [0, 1, 0, 1 / phase],
-            [1, 0, 1, 0],
-            [0, 1, 0, 1],
-            [phase, 0, 1, 0],
-        ],
-        dtype=complex,
-    )
-    h[np.diag_indices(4)] = cell_diagonal(pattern)
+    phase = np.exp(4j * np.asarray(k) * d)
+    h = np.zeros(np.shape(phase) + (4, 4), dtype=complex)
+    h[..., [0, 1, 1, 2, 2, 3], [1, 0, 2, 1, 3, 2]] = 1
+    h[..., 0, 3] = 1 / phase
+    h[..., 3, 0] = phase
+    h[..., range(4), range(4)] = cell_diagonal(pattern)
     return h
 
 

@@ -137,40 +137,34 @@ def check_symmetries(
     Residuals are the worst Frobenius norms over all samples and all three
     generator matrices; a relation holds below ``RESIDUAL_TOL``.
     ``h_builder`` overrides the Hamiltonian part (used for symmetry-breaking
-    controls); D and P always follow ``case``.
+    controls); D and P always follow ``case``. H(k) and H(-k) are checked as
+    stacks over the samples; D and P do not depend on k, so their relations
+    are checked once.
     """
     u_t = time_reversal_unitary(case)
     u_c = charge_conjugation_unitary(case)
     u_s = chiral_unitary(case)
-
-    def h_at(k):
-        if h_builder is not None:
-            return h_builder(k)
-        return build_HDP(k, case=case)[0]
-
+    h_at = h_builder or (lambda k: build_HDP(k, case=case)[0])
+    ks = [float(k) for k in k_samples]
+    h_k = np.array([h_at(k) for k in ks]).reshape(-1, 8, 8)
+    h_mk = np.array([h_at(-k) for k in ks]).reshape(-1, 8, 8)
     _, d, p = build_HDP(0.0, case=case)
-    res_t = res_c = res_s = 0.0
-    for k in k_samples:
-        h_k = h_at(float(k))
-        h_mk = h_at(-float(k))
-        res_t = max(
-            res_t,
-            np.linalg.norm(u_t @ h_mk.conj() @ u_t.conj().T + h_k),
-            np.linalg.norm(u_t @ d.conj() @ u_t.conj().T - d),
-            np.linalg.norm(u_t @ p.conj() @ u_t.conj().T + p),
+
+    def worst(u, op, h, sign):
+        """Largest norm of U op(X) U^-1 - sign * X over X = H, P and of the
+        same with sign +1 for X = D."""
+        terms = ((op(h), h_k, sign), (op(d), d, 1.0), (op(p), p, sign))
+        return max(
+            float(np.max(np.linalg.norm(u @ x @ u.conj().T - s * y, axis=(-2, -1)), initial=0.0))
+            for x, y, s in terms
         )
-        res_c = max(
-            res_c,
-            np.linalg.norm(u_c @ h_mk.T @ u_c.conj().T + h_k),
-            np.linalg.norm(u_c @ d.T @ u_c.conj().T - d),
-            np.linalg.norm(u_c @ p.T @ u_c.conj().T + p),
-        )
-        res_s = max(
-            res_s,
-            np.linalg.norm(u_s @ h_k.conj().T @ u_s.conj().T - h_k),
-            np.linalg.norm(u_s @ d.conj().T @ u_s.conj().T - d),
-            np.linalg.norm(u_s @ p.conj().T @ u_s.conj().T - p),
-        )
+
+    def transpose(x):
+        return x.swapaxes(-2, -1)
+
+    res_t = worst(u_t, np.conj, h_mk, -1.0)
+    res_c = worst(u_c, transpose, h_mk, -1.0)
+    res_s = worst(u_s, lambda x: transpose(x.conj()), h_k, 1.0)
 
     holds_t, holds_c, holds_s = res_t < RESIDUAL_TOL, res_c < RESIDUAL_TOL, res_s < RESIDUAL_TOL
     if holds_t and holds_c and holds_s:
@@ -180,12 +174,12 @@ def check_symmetries(
     else:
         label = "none"
     return SymmetryReport(
-        residual_T=float(res_t),
-        residual_C=float(res_c),
-        residual_S=float(res_s),
+        residual_T=res_t,
+        residual_C=res_c,
+        residual_S=res_s,
         holds_T=holds_t,
         holds_C=holds_c,
         holds_S=holds_s,
         class_label=label,
-        k_samples=tuple(float(k) for k in k_samples),
+        k_samples=tuple(ks),
     )

@@ -4,10 +4,13 @@ The invariant is the normalized global Berry phase of the four Bloch bands.
 Rather than tracking individual bands, the four bands are split into the
 lower and upper doublet by the sign of Re E (the gap that hosts the midgap
 modes), and each doublet contributes the phase of the determinant of its
-Wilson-loop matrix built from biorthogonal link overlaps. Doublet subspaces
-are represented by Schur bases, so degeneracies or exceptional points inside
-a doublet (they occur, e.g. at g0=g1=g2=1) are harmless; only the inter-
-doublet gap must stay open.
+Wilson loop. Spectral projectors P = (I -/+ sign H)/2 replace bases of the
+doublets: sign H comes from Newton's iteration S <- (S + S^-1)/2 on the
+stack of all k (Higham, Functions of Matrices, SIAM 2008, ch. 5), and the
+two nonzero eigenvalues of P(k_0) P(k_1) ... P(k_{N-1}) are those of the
+biorthogonal Wilson matrix of any doublet bases, so no gauge enters. An
+exceptional point inside a doublet (e.g. at g0=g1=g2=1) leaves P smooth and
+is harmless; only the inter-doublet gap must stay open.
 
 Each doublet phase is reduced to the branch [-pi/2, 3*pi/2), where the
 protecting symmetries pin it to {0, pi}; the normalization W = total/(2*pi)
@@ -27,6 +30,10 @@ from .lattice import LossPattern, bloch_hamiltonian
 #: Minimum inter-doublet separation in Re E, units of J.
 GAP_MIN = 1e-8
 
+#: Newton steps allowed for sign H, and the relative step that ends them:
+#: convergence is quadratic, so the next iterate is at rounding level.
+_SIGN_STEPS, _SIGN_RTOL = 100, 1e-10
+
 _BRANCH_CUT = -np.pi / 2
 
 
@@ -45,29 +52,22 @@ def _branch(phase):
     return np.where(phase < _BRANCH_CUT, phase + 2.0 * np.pi, phase)
 
 
-def _cluster_bases(h: np.ndarray) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
-    """Orthonormal right and left bases of the lower/upper invariant subspaces.
-
-    Schur vectors stay well conditioned even when the two bands inside a
-    doublet coalesce. Returns ((R_lo, L_lo), (R_up, L_up)), each n x 2.
-    """
-    import scipy.linalg as sla
-
-    out = []
-    for sel in (lambda w: w.real < 0, lambda w: w.real >= 0):
-        _, z, sdim = sla.schur(h, output="complex", sort=sel)
-        right = z[:, :sdim]
-        _, z_l, sdim_l = sla.schur(
-            h.conj().T, output="complex", sort=lambda w: sel(np.conj(w))
+def _projectors(h: np.ndarray) -> np.ndarray:
+    """Spectral projectors (I -/+ sign H)/2 onto the Re E < 0 and Re E > 0
+    bands of a stack of Bloch matrices, shape (2, n_k, 4, 4)."""
+    sign = h
+    for _ in range(_SIGN_STEPS):
+        sign, last = (sign + np.linalg.inv(sign)) / 2.0, sign
+        step = np.linalg.norm(sign - last, axis=(-2, -1))
+        if np.all(step <= _SIGN_RTOL * np.linalg.norm(sign, axis=(-2, -1))):
+            break
+    else:
+        raise GaplessSpectrumError(
+            "sign(H) did not converge on the k grid",
+            {"steps": _SIGN_STEPS, "worst_step": float(np.max(step))},
         )
-        left = z_l[:, :sdim_l]
-        if sdim != 2 or sdim_l != 2:
-            raise GaplessSpectrumError(
-                "Re E does not split the four bands into two doublets",
-                {"sdim_right": int(sdim), "sdim_left": int(sdim_l)},
-            )
-        out.append((right, left))
-    return tuple(out)
+    eye = np.eye(4)
+    return np.stack([(eye - sign) / 2.0, (eye + sign) / 2.0])
 
 
 def winding_number(
@@ -87,34 +87,35 @@ def winding_number(
         raise ConfigurationError("k_grid_size must be at least 16")
     if not (np.isfinite(float(d)) and d > 0):
         raise ConfigurationError("spacing d must be finite and > 0")
-    dk = (np.pi / (2.0 * d)) / k_grid_size
+    ks = np.arange(k_grid_size) * ((np.pi / (2.0 * d)) / k_grid_size)
+    h = bloch_hamiltonian(ks, pattern, d)
+    re = np.sort(np.linalg.eigvals(h).real, axis=-1)
+    gap = re[:, 2] - re[:, 1]
+    if np.any(gap <= GAP_MIN):
+        m = np.flatnonzero(gap <= GAP_MIN)[0]
+        raise GaplessSpectrumError(
+            "band doublets touch on the k grid",
+            {"k": float(ks[m]), "re_gap": float(gap[m]), "threshold": GAP_MIN},
+        )
 
-    bases: List[Tuple] = []
-    gap = np.inf
-    for m in range(k_grid_size):
-        h = bloch_hamiltonian(m * dk, pattern, d)
-        re = np.sort(np.linalg.eigvals(h).real)
-        gap = min(gap, re[2] - re[1])
-        if gap <= GAP_MIN:
-            raise GaplessSpectrumError(
-                "band doublets touch on the k grid",
-                {"k": m * dk, "re_gap": float(gap), "threshold": GAP_MIN},
-            )
-        bases.append(_cluster_bases(h))
+    proj = _projectors(h)
+    rank = np.trace(proj[0], axis1=-2, axis2=-1).real
+    if np.any(np.abs(rank - 2.0) > 0.5):  # trace P is the band count
+        m = np.flatnonzero(np.abs(rank - 2.0) > 0.5)[0]
+        raise GaplessSpectrumError(
+            "Re E does not split the four bands into two doublets",
+            {"k": float(ks[m]), "lower_rank": float(rank[m])},
+        )
 
-    total = 0.0
-    per_band: List[float] = []
-    for c in range(2):
-        wilson = np.eye(2, dtype=complex)
-        for m in range(k_grid_size):
-            right_m, left_m = bases[m][c]
-            # the loop closes on its start basis
-            right_n = bases[(m + 1) % k_grid_size][c][0]
-            gram = left_m.conj().T @ right_m
-            wilson = wilson @ np.linalg.solve(gram, left_m.conj().T @ right_n)
-        total += float(_branch(-np.angle(np.linalg.det(wilson))))
-        band_phases = _branch(-np.angle(np.linalg.eigvals(wilson)))
-        per_band.extend(float(p) for p in np.sort(band_phases))
+    loop = proj  # ordered product over k, in log2(n_k) pairwise rounds
+    while loop.shape[1] > 1:
+        if loop.shape[1] % 2:
+            loop = np.concatenate([loop, np.broadcast_to(np.eye(4), (2, 1, 4, 4))], axis=1)
+        loop = loop[:, 0::2] @ loop[:, 1::2]
+    lam = np.linalg.eigvals(loop[:, 0])  # two nonzero, two at rounding level
+    lam = np.take_along_axis(lam, np.argsort(np.abs(lam), axis=-1)[:, 2:], axis=-1)
+    total = float(np.sum(_branch(-np.angle(np.prod(lam, axis=-1)))))
+    per_band = np.sort(_branch(-np.angle(lam)), axis=-1).ravel().tolist()
 
     w = total / (2.0 * np.pi)
     return WindingResult(

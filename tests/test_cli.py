@@ -127,6 +127,15 @@ CONFIG_ONLY_ERRORS = {
          "params": {"g2_min": 2.0, "g2_max": 1.0}},
         "config.params",
     ),
+    "symmetry_k_budget": (
+        {"run": "symmetry", "params": {"k_samples": 10**12}}, "config.params.k_samples"
+    ),
+    "winding_k_budget": (
+        {"run": "winding", "lattice": {
+            "hopping_J": 0.045, "spacing_d": 1.4, "pattern": {"phase": "III", "g": 1.1}},
+         "params": {"k_grid_size": 10**12}},
+        "config.params.k_grid_size",
+    ),
     "chain_site_budget": (
         {"run": "spectrum", "lattice": dict(CHAIN, n_sites=100_000)}, "config.lattice.n_sites"
     ),

@@ -59,10 +59,11 @@ def test_validate_and_non_fit_runs_load_no_scipy_submodule(tmp_path):
         small_copy(tmp_path, "fig2a", z_max=8.0, dz=0.1),  # propagate sweep, expm
         small_copy(tmp_path, "fig2c_bulk_I", z_max=8.0, dz=0.1),  # momentum
         small_copy(tmp_path, "symmetry_bdi", k_samples=8),
+        small_copy(tmp_path, "winding_diagram", k_grid_size=16),
     ]
     result = probe([["validate", str(p)] for p in FIGS] + [["run", p] for p in runs])
     assert result == {"codes": [0] * (len(FIGS) + len(runs)), "loaded": []}
-    assert len(list((tmp_path / "out").rglob("manifest.json"))) == 2 + 6 + 1 + 1
+    assert len(list((tmp_path / "out").rglob("manifest.json"))) == 2 + 6 + 1 + 1 + 1
 
 
 def test_fit_sweep_imports_least_squares_from_pool_threads(tmp_path, monkeypatch):
