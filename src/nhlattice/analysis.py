@@ -391,6 +391,23 @@ class InterfaceComparison:
     ambiguous: bool
 
 
+def _interface_chain(g2: float, J: float, spacing_d: float, n_cells_per_side: int):
+    """The trivial(g2)/topological(g2) junction of ``interface_vs_defect``."""
+    return interface_lattice(
+        LossPattern.trivial(g2), LossPattern.topological(g2),
+        n_cells_per_side, n_cells_per_side, J, spacing_d, re_beta=0.0,
+    )
+
+
+def _heaviest_mode(h: np.ndarray, site: int) -> Tuple[float, bool]:
+    """Im E of the mode of the chain ``h`` with the largest weight at the
+    0-based ``site``, and whether the next weight is within 1 percent of it."""
+    spec = eig_full(h)
+    weight = np.abs(spec.right_vectors[site, :]) ** 2
+    order = np.argsort(weight)[::-1]
+    return float(spec.eigenvalues[order[0]].imag), weight[order[1]] > 0.99 * weight[order[0]]
+
+
 def interface_vs_defect(
     g2_values: Sequence[float],
     J: float,
@@ -409,25 +426,13 @@ def interface_vs_defect(
     results = []
     for g2 in g2_values:
         g2 = float(g2)
-        iface = interface_lattice(
-            LossPattern.trivial(g2), LossPattern.topological(g2),
-            n_cells_per_side, n_cells_per_side, J, spacing_d, re_beta=0.0,
-        )
-        spec_i = eig_full(real_space_hamiltonian(iface))
-        w_if = np.abs(spec_i.right_vectors[iface.interface_index - 1, :]) ** 2
-        order = np.argsort(w_if)[::-1]
-        amb_i = w_if[order[1]] > 0.99 * w_if[order[0]]
-        im_iface = float(spec_i.eigenvalues[order[0]].imag)
+        iface = _interface_chain(g2, J, spacing_d, n_cells_per_side)
+        im_iface, amb_i = _heaviest_mode(real_space_hamiltonian(iface), iface.interface_index - 1)
 
-        n = n_sites_defect
-        center = n // 2
-        beta = np.full(n, -2j * g2 * J, dtype=complex)
+        center = n_sites_defect // 2
+        beta = np.full(n_sites_defect, -2j * g2 * J, dtype=complex)
         beta[center] = 0.0
-        spec_d = eig_full(chain_matrix(beta, J))
-        w_def = np.abs(spec_d.right_vectors[center, :]) ** 2
-        order_d = np.argsort(w_def)[::-1]
-        amb_d = w_def[order_d[1]] > 0.99 * w_def[order_d[0]]
-        im_def = float(spec_d.eigenvalues[order_d[0]].imag)
+        im_def, amb_d = _heaviest_mode(chain_matrix(beta, J), center)
 
         results.append(
             InterfaceComparison(

@@ -59,12 +59,13 @@ class ConfigError(ConfigurationError):
 
 
 @contextmanager
-def _reported_at(path: str):
-    """Report a builder's ConfigurationError as a ConfigError at ``path``."""
+def _reported_at(path: str, where: str = ""):
+    """Report a builder's ConfigurationError as a ConfigError at ``path``,
+    its message prefixed by ``where``."""
     try:
         yield
     except ConfigurationError as exc:
-        raise ConfigError(path, str(exc)) from None
+        raise ConfigError(path, where + str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -604,9 +605,13 @@ def _check_fit(c, path: str):
 
 
 def _check_winding(c, path: str):
-    if (c["params"]["g2_values"] is None) == (c["pattern"] is None):
+    params = c["params"]
+    if (params["g2_values"] is None) == (c["pattern"] is None):
         raise ConfigError(f"{path}.lattice.pattern", "give exactly one of it and params.g2_values")
-    _over_budget(f"{path}.params.k_grid_size", "k points", MAX_SCAN, c["params"]["k_grid_size"])
+    _over_budget(f"{path}.params.k_grid_size", "k points", MAX_SCAN, params["k_grid_size"])
+    for g2 in params["g2_values"] or ():  # the patterns the run builds
+        with _reported_at(f"{path}.params.g2_values", f"g2 = {g2!r}: "):
+            topology._scan_patterns([g2], params["exclusion"])
 
 
 def _check_symmetry(c, path: str):
@@ -636,6 +641,10 @@ def _check_interface_compare(c, path: str):
                  MAX_SITES, 8 * params["n_cells_per_side"])
     _over_budget(f"{path}.params.n_sites_defect", "defect lattice sites",
                  MAX_SITES, params["n_sites_defect"])
+    for g2 in _scan(params["g2_min"], params["g2_max"], params["g2_step"]):
+        with _reported_at(f"{path}.params.g2_min", f"g2 = {g2!r} of the scan: "):
+            analysis._interface_chain(
+                g2, c["hopping_J"], c["lattice"]["spacing_d"], params["n_cells_per_side"])
 
 
 def _check_calibrate(c, path: str):
@@ -756,8 +765,10 @@ def validate_config(cfg: dict, path: str = "config") -> dict:
     make of it: ``spec`` (or ``hopping_J`` and ``pattern``), the resolved
     ``excitation`` and the ``derived`` parameters. The run's check then
     bounds the work and resolves what depends on them, such as a fit's site.
+    It keeps ``cfg`` as ``source`` and a grid's (values, checked point) pairs.
     """
     c = _section(cfg, _TOP, path)
+    c["source"] = cfg
     name = c["run"]
     run = RUNS[name]
     for section, needed in (("lattice", run.lattice is not None), ("excitation", run.excitation)):
@@ -793,8 +804,8 @@ def validate_config(cfg: dict, path: str = "config") -> dict:
         for i, entry in enumerate(c["grid"]):
             entry = _section(entry, _GRID_ENTRY, f"{path}.grid[{i}]")
             _resolve_path(cfg, entry["path"], f"{path}.grid[{i}].path")
-        for _, point_cfg in _grid_points(cfg):
-            validate_config(point_cfg, path)
+        c["points"] = [(combo, validate_config(point_cfg, path))
+                       for combo, point_cfg in _grid_points(cfg)]
     return c
 
 
@@ -823,13 +834,12 @@ def _write_diagnostics(out_dir: Path, exc: Exception) -> None:
     })
 
 
-def execute_single(cfg: dict, out_dir: Path) -> dict:
-    """Run one grid-free config into ``out_dir``; returns summary."""
-    c = validate_config(cfg)
+def execute_single(c: dict, out_dir: Path) -> dict:
+    """Run one checked grid-free config into ``out_dir``; returns summary."""
     out_dir.mkdir(parents=True, exist_ok=True)
     summary, outputs = RUNS[c["run"]].runner(c, out_dir)
     manifest = {
-        "config_sha256": serialization.config_hash(cfg),
+        "config_sha256": serialization.config_hash(c["source"]),
         "package_version": __version__,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
@@ -864,8 +874,8 @@ def _scalar_for_csv(value):
     return value
 
 
-def execute_sweep(cfg: dict, out_dir: Path) -> None:
-    """Run every grid point of a validated config into point_NNN/ and
+def execute_sweep(c: dict, out_dir: Path) -> None:
+    """Run every grid point of a checked config into point_NNN/ and
     collect results.csv; a point that fails is recorded, not fatal."""
     value = os.environ.get("NHLATTICE_WORKERS", "1")
     try:
@@ -875,7 +885,7 @@ def execute_sweep(cfg: dict, out_dir: Path) -> None:
     if workers < 1:  # checked before anything is written
         raise ConfigError("NHLATTICE_WORKERS",
                           f"expected a positive integer, got {reprlib.repr(value)}")
-    points = _grid_points(cfg)
+    points = c["points"]
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def run_point(idx):
@@ -892,7 +902,7 @@ def execute_sweep(cfg: dict, out_dir: Path) -> None:
     else:
         results = [run_point(i) for i in range(len(points))]
 
-    paths = [entry["path"] for entry in cfg["grid"]]
+    paths = [entry["path"] for entry in c["grid"]]
     summary_keys = sorted({k for s, _ in results for k in s})
     header = ["point"] + paths + summary_keys + ["error"]
     rows = []
@@ -903,7 +913,7 @@ def execute_sweep(cfg: dict, out_dir: Path) -> None:
         rows.append(row)
     serialization.write_csv(out_dir / "results.csv", header, rows)
     serialization.write_json(out_dir / "sweep_manifest.json", {
-        "config_sha256": serialization.config_hash(cfg),
+        "config_sha256": serialization.config_hash(c["source"]),
         "package_version": __version__,
         "n_points": len(points),
         "grid_paths": paths,
@@ -939,9 +949,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
-        validate_config(cfg)
-        if args.command == "sweep" and "grid" not in cfg:
+        c = validate_config(load_config(args.config))
+        if args.command == "sweep" and c["grid"] is None:
             raise ConfigError("config.grid", "sweep requires a grid section")
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -951,12 +960,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"ok: {args.config}")
         return 0
 
-    out_dir = Path(cfg["output_dir"])
+    out_dir = Path(c["output_dir"])
     try:
-        if "grid" in cfg:
-            execute_sweep(cfg, out_dir)
+        if c["grid"] is not None:
+            execute_sweep(c, out_dir)
         else:
-            execute_single(cfg, out_dir)
+            execute_single(c, out_dir)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -162,6 +162,9 @@ class LatticeSpec:
             1 <= self.interface_index <= self.n_sites
         ):
             raise ConfigurationError("interface_index out of range")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(self.beta).all():
+                raise ConfigurationError("on-site constants re_beta + J * onsite must be finite")
 
     @property
     def is_uniform(self) -> bool:
@@ -177,6 +180,11 @@ class LatticeSpec:
             np.tile(cell_diagonal(p), n) for p, n in self.pattern
         ]
         return np.concatenate(parts)
+
+    @property
+    def beta(self) -> np.ndarray:
+        """Per-site on-site constants in 1/um, ``re_beta + hopping_J * onsite``."""
+        return self.re_beta + self.hopping_J * self.onsite_values()
 
 
 def bloch_hamiltonian(k, pattern: LossPattern, d: float) -> np.ndarray:
@@ -211,11 +219,10 @@ def chain_matrix(beta: np.ndarray, J: float) -> np.ndarray:
 def real_space_hamiltonian(spec: LatticeSpec) -> np.ndarray:
     """Open-boundary chain Hamiltonian, n_sites x n_sites, in 1/um.
 
-    Tridiagonal with hopping ``J`` off the diagonal and on-site constants
-    ``beta_j = re_beta + J * onsite_j``. Hermitian iff the lattice is
-    lossless.
+    Tridiagonal with hopping ``J`` off the diagonal and the on-site
+    constants ``spec.beta`` on it. Hermitian iff the lattice is lossless.
     """
-    return chain_matrix(spec.re_beta + spec.hopping_J * spec.onsite_values(), spec.hopping_J)
+    return chain_matrix(spec.beta, spec.hopping_J)
 
 
 def interface_lattice(

@@ -2,10 +2,10 @@
 
 The integrated equation is da_j/dz = i*C*(a_{j-1} + a_{j+1}) + i*beta_j*a_j
 with open ends, where beta_j = Re(beta) + i*Im(beta_j) and absorption means
-Im(beta_j) >= 0 (intensity decays like exp(-2*Im(beta)*z)). The lattice
-Hamiltonian convention stores on-site imaginary parts <= 0 for loss, so the
-coupled-mode matrix is its elementwise conjugate; intensities agree either
-way, and a unit test against the scalar analytic solution pins the sign.
+Im(beta_j) >= 0 (intensity decays like exp(-2*Im(beta)*z)). LatticeSpec.beta
+stores on-site imaginary parts <= 0 for loss, so the generator is the chain
+of its conjugate; intensities agree either way, and a unit test against the
+scalar analytic solution pins the sign.
 
 The uniform Re(beta) commutes with everything and is applied as an exact
 global phase after stepping, which keeps the fixed-step integrator accurate
@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ConfigurationError, StepSizeError
-from .lattice import SITES_PER_CELL, LatticeSpec, real_space_hamiltonian
+from .lattice import SITES_PER_CELL, LatticeSpec, chain_matrix
 from .spectral import eig_full, tridiagonal_apply
 
 #: Fixed-step stability bound: dz <= STABILITY_FACTOR / ||M||_2.
@@ -134,11 +134,6 @@ class FieldEvolution:
         return self.z_grid, np.abs(self.amplitudes[:, site - 1]) ** 2
 
 
-def coupled_mode_matrix(spec: LatticeSpec) -> np.ndarray:
-    """Propagation matrix M with absorption as Im(beta_j) >= 0, in 1/um."""
-    return np.conj(real_space_hamiltonian(spec))
-
-
 def _mapped_empty(shape: Tuple[int, int]) -> np.ndarray:
     """Uninitialised complex array on an anonymous mapping of its own.
 
@@ -156,22 +151,34 @@ def _mapped_empty(shape: Tuple[int, int]) -> np.ndarray:
     return np.frombuffer(buf, dtype=complex, count=count).reshape(shape)
 
 
-def _rk4(m_rot: np.ndarray, a0: np.ndarray, keep: np.ndarray, dz: float) -> np.ndarray:
-    """Amplitudes (len(keep), n_sites) after the steps ``keep`` (increasing, from 0).
-
-    Every step up to ``keep[-1]`` is taken, and in a purely lossy lattice each
-    one is checked for intensity growth; only the kept states are stored.
-    """
+def _march(step, a0: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """States (len(keep), n_sites) after the steps ``keep`` (increasing, from 0),
+    where ``step(n, a)`` takes the state ``a`` through step n; only they are stored."""
     out = _mapped_empty((keep.size, a0.size))
     out[0] = a0
     row = 1
     a = a0
+    for n in range(1, keep[-1] + 1):
+        a = step(n, a)
+        if n == keep[row]:
+            out[row] = a
+            row += 1
+    return out
+
+
+def _rk4(m_rot: np.ndarray, a0: np.ndarray, keep: np.ndarray, dz: float) -> np.ndarray:
+    """Amplitudes (len(keep), n_sites) after the steps ``keep`` (increasing, from 0).
+
+    In a purely lossy lattice each step is checked for intensity growth.
+    """
     # the chain's generator i*M is symmetric tridiagonal, so each stage applies
     # the three-term stencil of its diagonal and off-diagonal, not a dense product
     gen = partial(tridiagonal_apply, 1j * m_rot.diagonal(), 1j * m_rot.diagonal(1))
     lossy = np.all(m_rot.imag.diagonal() >= -1e-15)
-    total_prev = float(np.vdot(a, a).real)
-    for n in range(1, keep[-1] + 1):
+    total_prev = float(np.vdot(a0, a0).real)
+
+    def step(n, a):
+        nonlocal total_prev
         k1 = gen(a)
         k2 = gen(a + 0.5 * dz * k1)
         k3 = gen(a + 0.5 * dz * k2)
@@ -185,10 +192,9 @@ def _rk4(m_rot: np.ndarray, a0: np.ndarray, keep: np.ndarray, dz: float) -> np.n
                     {"step": n, "total": total, "previous": total_prev},
                 )
             total_prev = total
-        if n == keep[row]:
-            out[row] = a
-            row += 1
-    return out
+        return a
+
+    return _march(step, a0, keep)
 
 
 def _expm_evolution(
@@ -209,16 +215,7 @@ def _expm_evolution(
         import scipy.linalg as sla
 
         step = sla.expm(1j * m_rot * dz)
-        out = _mapped_empty((keep.size, a0.size))
-        out[0] = a0
-        row = 1
-        a = a0
-        for n in range(1, keep[-1] + 1):
-            a = step @ a
-            if n == keep[row]:
-                out[row] = a
-                row += 1
-        return out
+        return _march(lambda n, a: step @ a, a0, keep)
     coeff = np.linalg.solve(v, a0)
     # a(z) = v @ (exp(i w z) * coeff), one block of z columns at a time. The
     # whole grid's product ends in leftover columns, so the samples from the
@@ -280,8 +277,7 @@ def propagate(
     if not 1 <= exc.site <= spec.n_sites:
         raise ConfigurationError("excitation site outside the lattice")
 
-    m = coupled_mode_matrix(spec)
-    m_rot = m - spec.re_beta * np.eye(spec.n_sites)
+    m_rot = chain_matrix(np.conj(spec.beta) - spec.re_beta, spec.hopping_J)
     bound = STABILITY_FACTOR / max(np.linalg.norm(m_rot, 2), 1e-300)
     if dz > bound:
         raise StepSizeError(

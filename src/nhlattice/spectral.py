@@ -129,7 +129,7 @@ def _sublattice_decay_fit(
     r = int(np.argmax(offsets))
     pts = seg[r::SITES_PER_CELL]
     x = (np.arange(half)[r::SITES_PER_CELL]).astype(float) * spacing_d
-    keep = pts > pts.max() * 1e-20
+    keep = pts > pts.max(initial=0.0) * 1e-20  # a 1-site chain's half is empty
     x, y = x[keep], np.log(pts[keep])
     if x.size < 3:
         return np.inf, 0.0
@@ -250,14 +250,14 @@ def _rayleigh_quotient_iteration(d, e, shift, x, stop):
     return shift, x, resid
 
 
-#: Overlaps within this share of the best one count as equal when
-#: ``ep_sweep`` continues its pair by eigenvector overlap; the lower Re E,
-#: then the lower Im E, wins.
+#: Scores within this share of the best one count as equal when ``ep_sweep``
+#: picks a mode, by interface weight at the first J and by eigenvector overlap
+#: after a fallback; the lower Re E, then the lower Im E, wins.
 OVERLAP_TIE_RTOL = 1e-9
 
 
 def _best_overlap(ov: np.ndarray, eigenvalues: np.ndarray, skip: int | None = None) -> int:
-    """The column of largest overlap ``ov``, other than ``skip``; of columns
+    """The column of largest score ``ov``, other than ``skip``; of columns
     within ``OVERLAP_TIE_RTOL`` of the largest, the one with the lowest
     Re E, then the lowest Im E."""
     if skip is not None:
@@ -320,25 +320,6 @@ def _track_pair(d, e, dJ, norm, prev_eigs, prev_pair, overlap_min):
     return eigs, vecs
 
 
-#: Interface weights within this share of the largest weight count as equal
-#: when ``ep_sweep`` picks its pair; the lower Re E then wins.
-WEIGHT_TIE_RTOL = 1e-9
-
-
-def _first_pair(weight: np.ndarray, re_e: np.ndarray) -> list:
-    """Two mode indices, taken one at a time: of the modes left whose
-    weight is within ``WEIGHT_TIE_RTOL * weight.max()`` of the largest
-    weight left, the one with the lowest Re E."""
-    tol = WEIGHT_TIE_RTOL * weight.max()
-    left = weight.astype(float)
-    pair = []
-    for _ in range(2):
-        near = np.flatnonzero(left >= left.max() - tol)
-        pair.append(int(near[np.argmin(re_e[near])]))
-        left[pair[-1]] = -np.inf
-    return pair
-
-
 def require_interface(spec: LatticeSpec) -> None:
     """Raise :class:`ConfigurationError` unless ``spec`` joins domains whose
     on-site cells differ: domains with equal ``cell_diagonal`` make one
@@ -364,11 +345,11 @@ def ep_sweep(
     beta are held fixed and only the hopping changes, H(J) = diag(beta) +
     J*T with T the 0/1 nearest-neighbour matrix, so the dimensionless loss
     of each domain shrinks as J grows. At the smallest J a full
-    ``eig_full`` selects the
-    two modes with the largest weight on the interface cell and the outer
-    cell of the second domain, one at a time; of the modes whose weight is
-    within ``WEIGHT_TIE_RTOL`` of the largest one left, the one with the
-    lowest Re E is taken. At each later J
+    ``eig_full`` selects the two modes with the largest weight on the
+    interface cell and the outer cell of the second domain, one at a time by
+    the rule of ``_best_overlap``: of the modes whose weight is within
+    ``OVERLAP_TIE_RTOL`` of the largest one left, the lowest Re E, then the
+    lowest Im E, is taken. At each later J
     every tracked mode r is first predicted to first order,
     lambda_pred = lambda_prev + 2 dJ sum_i r_i r_(i+1) / r^T r, and then
     refined by a c-product Rayleigh-quotient iteration from
@@ -395,7 +376,7 @@ def ep_sweep(
     if0 = base.interface_index - 1
     sel_sites = list(range(if0, min(if0 + SITES_PER_CELL, n)))
     sel_sites += list(range(n - SITES_PER_CELL, n))
-    beta = base.re_beta + base.hopping_J * base.onsite_values()
+    beta = base.beta
     norms = np.hypot(np.linalg.norm(beta), math.sqrt(2.0 * (n - 1)) * J_values)  # ||H(J)||
 
     pair_eigs = np.empty((J_values.size, 2), dtype=complex)
@@ -417,7 +398,8 @@ def ep_sweep(
             vr = spec.right_vectors
             if prev_pair is None:
                 weight = (np.abs(vr[sel_sites, :]) ** 2).sum(axis=0)
-                pair_idx = _first_pair(weight, spec.eigenvalues.real)
+                first = _best_overlap(weight, spec.eigenvalues)
+                pair_idx = [first, _best_overlap(weight, spec.eigenvalues, first)]
             else:
                 pair_idx = _joint_overlap_pair(prev_pair, vr, spec.eigenvalues, J, overlap_min)
             prev_pair = vr[:, pair_idx]

@@ -126,6 +126,13 @@ def winding_number(
     )
 
 
+def _scan_patterns(g_values: Sequence[float], exclusion: float) -> List[Tuple[float, LossPattern]]:
+    """(g2, pattern) for each g2 with |g2| >= ``exclusion``, in the symmetric
+    convention g0 = g1 = |g2|: phase III for g2 > 0, phase II for g2 < 0."""
+    return [(g2, LossPattern.from_g(abs(g2), abs(g2), g2))
+            for g2 in g_values if abs(g2) >= exclusion]
+
+
 def winding_phase_diagram(
     g_values: Sequence[float],
     d: float,
@@ -138,14 +145,7 @@ def winding_phase_diagram(
     Returns (g2, W, quantization_residual) triples.
     """
     rows = []
-    for g2 in g_values:
-        if abs(g2) < exclusion:
-            continue
-        pattern = (
-            LossPattern.topological(g2)
-            if g2 > 0
-            else LossPattern.trivial(abs(g2))
-        )
+    for g2, pattern in _scan_patterns(g_values, exclusion):
         res = winding_number(pattern, d, k_grid_size=k_grid_size)
         rows.append((float(g2), res.W, res.quantization_residual))
     return rows

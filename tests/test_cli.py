@@ -166,6 +166,22 @@ CONFIG_ONLY_ERRORS = {
             "left": {"phase": "III", "g": 1.1}, "right": {"phase": "III", "g": 1.1}})},
         "config.lattice.interface",
     ),
+    # scanned g2 values whose patterns the run's builders reject: g1*g2
+    # underflows to 0, so neither phase label holds
+    "winding_g2_underflow": (
+        {"run": "winding", "lattice": {"hopping_J": 0.045, "spacing_d": 1.4},
+         "params": {"g2_values": [1e-200], "exclusion": 1e-300}},
+        "config.params.g2_values",
+    ),
+    "compare_g2_underflow": (
+        {"run": "interface-compare", "lattice": {"hopping_J": 0.045, "spacing_d": 1.4},
+         "params": {"g2_min": 1e-320, "g2_max": 1e-320}},
+        "config.params.g2_min",
+    ),
+    "beta_overflow": (
+        {"run": "spectrum", "lattice": dict(CHAIN, n_sites=40, pattern={"phase": "III", "g": 1e308})},
+        "config.lattice",
+    ),
     "ep_lossless_shorthand": (
         {"run": "ep-sweep", "lattice": dict(IFACE, interface={
             "n_left_cells": 6, "n_right_cells": 6, "im_beta": 0})},
@@ -355,6 +371,16 @@ class TestValidation:
             assert f"error: {json_path}:" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("run, params, message", [
+        ("winding", {"g2_values": [1.0, 1e-200], "exclusion": 1e-300}, "g2 = 1e-200: "),
+        ("interface-compare", {"g2_min": 1e-320, "g2_max": 1e-320}, "g2 = 1e-320 of the scan: "),
+    ], ids=["winding", "interface-compare"])
+    def test_scan_error_names_the_failing_g2(self, tmp_path, capsys, run, params, message):
+        cfg = {"run": run, "output_dir": str(tmp_path / "out"),
+               "lattice": {"hopping_J": 0.045, "spacing_d": 1.4}, "params": params}
+        assert main(["validate", write_config(tmp_path, cfg)]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("entries, message", [
         ([{"x": 1.0, "y": 2.0}, {"x": "a", "y": 1}], "entry 1: x"),
         ([{"x": [1], "y": 1}], "entry 0: x"),
@@ -479,6 +505,14 @@ class TestRun:
         assert all(f["rss"] >= 0 for f in fits)
         assert max(fits[1]["kz_osc"], fits[3]["kz_osc"]) < 1e-6
 
+    @pytest.mark.parametrize("n_sites", [1, 2, 3])
+    def test_chains_of_a_few_sites(self, tmp_path, n_sites):
+        cfg = spectrum_config(tmp_path)
+        cfg["lattice"]["n_sites"] = n_sites
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
+        spectrum = (tmp_path / "out" / "spectrum.csv").read_text().splitlines()
+        assert len(spectrum) == n_sites + 1
+
     def test_run_is_deterministic(self, tmp_path):
         cfg = spectrum_config(tmp_path, out="out1")
         main(["run", write_config(tmp_path, cfg, "c1.json")])
@@ -492,6 +526,24 @@ class TestRun:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("grid", [None, [1.1], [0.9, 1.1, 1.3]])
+    def test_each_config_and_point_is_validated_once(self, tmp_path, monkeypatch, grid):
+        from nhlattice import cli
+
+        calls = []
+        validate = cli.validate_config
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return validate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "validate_config", counting)
+        cfg = spectrum_config(tmp_path)
+        if grid is not None:
+            cfg["grid"] = [{"path": "lattice.pattern.g", "values": grid}]
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
+        assert len(calls) == 1 + (0 if grid is None else len(grid))
+
     def test_single_point_grid_matches_plain_run(self, tmp_path):
         plain = spectrum_config(tmp_path, out="plain")
         main(["run", write_config(tmp_path, plain, "plain.json")])

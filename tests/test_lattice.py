@@ -233,3 +233,21 @@ class TestLatticeSpec:
         kwargs[field] = value
         with pytest.raises(ConfigurationError):
             LatticeSpec(pattern=LossPattern.lossless(), **kwargs)
+
+    @pytest.mark.parametrize("pattern, hop, re_beta", [
+        (LossPattern.topological(1e308), J, 6.6),  # J * onsite overflows
+        (LossPattern.custom([1e308, 0, 0, 0]), 2.0, 6.6),
+        (LossPattern.custom([1e308, 0, 0, 0]), 1.0, 1e308),  # the sum overflows
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_overflowing_beta(self, pattern, hop, re_beta):
+        with pytest.raises(ConfigurationError, match="on-site constants"):
+            LatticeSpec(n_sites=8, hopping_J=hop, spacing_d=D, pattern=pattern, re_beta=re_beta)
+
+    def test_beta_is_the_chain_diagonal(self):
+        spec = interface_lattice(
+            LossPattern.custom([0.5 - 1j, 0, -0.25, 0.1j], g0=0.3), LossPattern.topological(1.1),
+            2, 3, J, D, re_beta=6.6,
+        )
+        assert np.array_equal(spec.beta, spec.re_beta + J * spec.onsite_values())
+        assert np.array_equal(np.diag(real_space_hamiltonian(spec)), spec.beta)

@@ -4,14 +4,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nhlattice.errors import ConfigurationError, StepSizeError
-from nhlattice.lattice import LatticeSpec, LossPattern, interface_lattice
+from nhlattice.lattice import LatticeSpec, LossPattern, interface_lattice, real_space_hamiltonian
 from nhlattice.propagation import (
     EIGENBASIS_MAX_COND,
     STABILITY_FACTOR,
     Excitation,
     _expm_evolution,
     _rk4,
-    coupled_mode_matrix,
     propagate,
 )
 from nhlattice.spectral import eig_full
@@ -167,7 +166,7 @@ class TestPropagate:
         # drive the fixed-step kernel past its stability region directly;
         # spurious growth in a purely lossy lattice must be caught
         spec = lattice(LossPattern.topological(1.1), n_sites=24, re_beta=0.0)
-        m = coupled_mode_matrix(spec)
+        m = np.conj(real_space_hamiltonian(spec))
         a0 = np.zeros(24, dtype=complex)
         a0[0] = 1.0
         with pytest.raises(StepSizeError) as err:
@@ -178,7 +177,7 @@ class TestPropagate:
         # at dz = 27 the total intensity of this launch first grows on step 6;
         # the check must catch it there however few steps are recorded
         spec = lattice(LossPattern.topological(1.1), n_sites=24, re_beta=0.0)
-        m = coupled_mode_matrix(spec)
+        m = np.conj(real_space_hamiltonian(spec))
         a0 = np.zeros(24, dtype=complex)
         a0[0] = 1.0
         with pytest.raises(StepSizeError) as every:
@@ -210,7 +209,7 @@ class TestPropagate:
     @pytest.mark.parametrize("n_z", [300, 2049, 2500])
     def test_blocked_expm_matches_one_shot_product(self, n_z):
         # below one block, a one-column leftover, several blocks and a remainder
-        m = coupled_mode_matrix(lattice(LossPattern.topological(1.1), n_sites=40))
+        m = np.conj(real_space_hamiltonian(lattice(LossPattern.topological(1.1), n_sites=40)))
         a0 = np.zeros(40, dtype=complex)
         a0[0] = 1.0
         w, v = np.linalg.eig(m)
@@ -318,10 +317,38 @@ class TestRk4Stencil:
     )
     def test_matches_dense_rk4(self, left, right, n_left, n_right, site):
         spec = interface_lattice(left, right, n_left, n_right, J, D, re_beta=0.0)
-        m_rot = coupled_mode_matrix(spec)
+        m_rot = np.conj(real_space_hamiltonian(spec))
         dz = STABILITY_FACTOR / np.linalg.norm(m_rot, 2)
         a0 = np.zeros(spec.n_sites, dtype=complex)
         a0[min(site, spec.n_sites) - 1] = 1.0
         ref = dense_rk4(m_rot, a0, 300, dz)
         out = _rk4(m_rot, a0, np.arange(301), dz)
         assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+class TestGenerator:
+    @settings(deadline=None, max_examples=20)
+    @given(
+        left=lossy_patterns, right=lossy_patterns,
+        n_left=st.integers(1, 4), n_right=st.integers(1, 4),
+        re_beta=st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
+        method=st.sampled_from(["rk4", "expm"]), save_every=st.integers(1, 7),
+    )
+    def test_propagate_steps_the_conjugated_chain(
+        self, left, right, n_left, n_right, re_beta, method, save_every
+    ):
+        # the reference generator, built as the conjugated dense Hamiltonian
+        # less re_beta on the diagonal; propagate builds it from spec.beta
+        spec = interface_lattice(left, right, n_left, n_right, J, D, re_beta=re_beta)
+        n = spec.n_sites
+        m_ref = np.conj(real_space_hamiltonian(spec)) - re_beta * np.eye(n)
+        dz, n_steps = 0.1, 30
+        field = propagate(spec, Excitation.resolve("edge", spec), n_steps * dz, dz,
+                          method, save_every)
+        keep = kept_steps(n_steps, save_every)
+        a0 = np.zeros(n, dtype=complex)
+        a0[0] = 1.0
+        evolve = _rk4 if method == "rk4" else _expm_evolution
+        ref = evolve(m_ref, a0, keep, dz)
+        ref *= np.exp(1j * re_beta * (keep * dz))[:, None]
+        assert np.array_equal(field.amplitudes, ref)

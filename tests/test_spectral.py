@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -18,7 +18,6 @@ from nhlattice.spectral import (
     eig_full,
     ep_sweep,
     _best_overlap,
-    _first_pair,
     _rayleigh_quotient_iteration,
     find_zero_modes,
 )
@@ -259,6 +258,17 @@ class TestZeroModes:
         report = find_zero_modes(eig_full(real_space_hamiltonian(spec_lat)), spec_lat)
         assert len(report) == 0
 
+    @pytest.mark.parametrize("n_sites", [1, 2, 3])
+    def test_chains_shorter_than_a_fit(self, n_sites):
+        # no dominant half holds 3 sublattice points: no decay length
+        spec_lat = lattice(LossPattern.topological(1.1), n_sites=n_sites)
+        spec = eig_full(real_space_hamiltonian(spec_lat))
+        report = find_zero_modes(spec, spec_lat, tol=np.inf)
+        assert len(report) == n_sites
+        assert report.localization_lengths == (np.inf,) * n_sites
+        assert report.fit_r_squared == (0.0,) * n_sites
+        assert report.edge_weights == (1.0,) * n_sites
+
     def test_re_beta_offset_is_removed(self):
         spec_lat = lattice(LossPattern.topological(1.1), re_beta=6.6)
         report = find_zero_modes(eig_full(real_space_hamiltonian(spec_lat)), spec_lat)
@@ -297,14 +307,15 @@ def reference_sweep(base, J_values, overlap_min=0.5):
         vr = spec.right_vectors
         if prev is None:
             # largest interface weight first; of weights within 1e-9 of the
-            # largest one left, the lowest Re E
+            # largest one left, the lowest Re E, then the lowest Im E
             weight = (np.abs(vr[sel]) ** 2).sum(axis=0)
             idx = []
             for _ in range(2):
                 left = [i for i in range(weight.size) if i not in idx]
                 top = max(weight[left])
-                near = [i for i in left if weight[i] >= top - 1e-9 * weight.max()]
-                idx.append(min(near, key=lambda i: spec.eigenvalues[i].real))
+                near = [i for i in left if weight[i] >= (1 - 1e-9) * top]
+                e = spec.eigenvalues
+                idx.append(min(near, key=lambda i: (e[i].real, e[i].imag)))
         else:
             ov = np.abs(prev.conj().T @ vr)
             o0, o1 = np.argsort(ov[0])[::-1], np.argsort(ov[1])[::-1]
@@ -389,6 +400,12 @@ class TestEPSweepTracking:
     @settings(deadline=None, max_examples=5)
     @given(domains=st.one_of(symmetric_domains, asymmetric_domains),
            kick=st.floats(-1e-13, 1e-13))
+    @example(
+        domains=(LossPattern.from_g(0.0, 2.234375, -1.0), LossPattern.from_g(0.0, 2.234375, 1.0)),
+        kick=0.0,
+    ).xfail(raises=ModeTrackingError,
+            reason="ep_sweep loses the pair of II|III domains with gain sites (overlap "
+                   "0.46 < 0.5 at J = 0.07); the eig-at-every-J reference loses it too")
     def test_rounding_change_of_beta_keeps_row_order(self, domains, kick):
         # beta scaled by 1 + kick, a change the size of its rounding, must
         # not swap the columns of any row or move J_ep
@@ -423,11 +440,14 @@ class TestEPSweepTracking:
 
         # weights w, w - 0.8 tol, w - 1.6 tol do not chain into one tie: the
         # third is farther than tol from the largest, so its lower Re E
-        # does not win the first pick
-        tol = 1e-9
+        # does not win the first pick; ep_sweep takes its pair as
+        # first = _best_overlap(weight, E), then _best_overlap(weight, E, first)
+        tol = spectral.OVERLAP_TIE_RTOL
         weight = np.array([0.3, 1.0, 1.0 - 0.8 * tol, 1.0 - 1.6 * tol])
-        assert _first_pair(weight, np.array([-5.0, 3.0, 2.0, 1.0])) == [2, 1]
-        assert _first_pair(weight, np.array([-5.0, 1.0, 2.0, 3.0])) == [1, 2]
+        for re_e, pair in (([-5.0, 3.0, 2.0, 1.0], [2, 1]), ([-5.0, 1.0, 2.0, 3.0], [1, 2])):
+            eigs = np.array(re_e, dtype=complex)
+            first = _best_overlap(weight, eigs)
+            assert [first, _best_overlap(weight, eigs, first)] == pair
 
     def test_overlap_tie_takes_lower_re(self, monkeypatch):
         # at J = 0.06 a tracked mode has just passed a coalescence and
