@@ -556,8 +556,10 @@ def _run_calibrate(c, out_dir: Path):
 #: fit runs keep; entries of the padded momentum transform
 #: (pad_factor^2 * n_z * n_sites), each 16 B of the two-zone power map of a
 #: kz window over the whole axis, the worst case; points of a J or g2 scan,
-#: or of a winding or symmetry k grid; and sites of any lattice a run builds,
-#: whose dense matrix takes 16 * n_sites^2 B (64 MB at the bound).
+#: of a winding or symmetry k grid, or of a config's grid (the product of its
+#: value counts, each point a checked copy of the config); and sites of any
+#: lattice a run builds, whose dense matrix takes 16 * n_sites^2 B (64 MB at
+#: the bound).
 MAX_AMPLITUDES = 20_000_000
 MAX_TRANSFORM = 50_000_000
 MAX_SCAN = 10_000
@@ -804,6 +806,8 @@ def validate_config(cfg: dict, path: str = "config") -> dict:
         for i, entry in enumerate(c["grid"]):
             entry = _section(entry, _GRID_ENTRY, f"{path}.grid[{i}]")
             _resolve_path(cfg, entry["path"], f"{path}.grid[{i}].path")
+        _over_budget(f"{path}.grid", "grid points", MAX_SCAN,
+                     *(len(entry["values"]) for entry in c["grid"]))
         c["points"] = [(combo, validate_config(point_cfg, path))
                        for combo, point_cfg in _grid_points(cfg)]
     return c

@@ -17,10 +17,6 @@ class GaplessSpectrumError(NumericalError):
     """Band gap closed on the sampled grid; the invariant is undefined."""
 
 
-class ModeTrackingError(NumericalError):
-    """Eigenvector continuation between sweep points became ambiguous."""
-
-
 class StepSizeError(NumericalError):
     """Integration step too large for the requested lattice."""
 

@@ -8,7 +8,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, ModeTrackingError, NumericalError
+from .errors import ConfigurationError, NumericalError
 from .lattice import SITES_PER_CELL, LatticeSpec, cell_diagonal, chain_matrix
 
 RESIDUAL_RTOL = 1e-9
@@ -206,8 +206,12 @@ RQI_STOP_RTOL = 1e-14
 #: moves like a square root of J and fails this check.
 PREDICTOR_RTOL = 0.1
 
-#: Rounding floor, in units of ||H||, of the predictor check and of the
-#: separation that makes the two tracked modes distinct.
+#: Smallest |<r_prev|r>| between a tracked unit vector and its predecessor.
+TRACK_OVERLAP_MIN = 0.5
+
+#: Rounding floor, in units of ||H||, of the predictor check, of the
+#: separation that makes the two tracked modes distinct and of the band of
+#: |Re E - re_beta| that makes a mode central.
 ROUNDING_RTOL = 1e-13
 
 
@@ -251,8 +255,8 @@ def _rayleigh_quotient_iteration(d, e, shift, x, stop):
 
 
 #: Scores within this share of the best one count as equal when ``ep_sweep``
-#: picks a mode, by interface weight at the first J and by eigenvector overlap
-#: after a fallback; the lower Re E, then the lower Im E, wins.
+#: picks a central mode by interface weight; the lower Re E, then the lower
+#: Im E, wins.
 OVERLAP_TIE_RTOL = 1e-9
 
 
@@ -267,31 +271,7 @@ def _best_overlap(ov: np.ndarray, eigenvalues: np.ndarray, skip: int | None = No
     return int(near[np.lexsort((eigenvalues.imag[near], eigenvalues.real[near]))[0]])
 
 
-def _joint_overlap_pair(prev_pair: np.ndarray, vr: np.ndarray, eigenvalues: np.ndarray,
-                        J: float, overlap_min: float):
-    """Columns of ``vr``, the eigenvectors of ``eigenvalues``, continuing the
-    two columns of ``prev_pair``. A tracked mode that has just passed a
-    coalescence with an untracked one overlaps both modes it split into
-    equally; the tie rule of ``_best_overlap``, not rounding, picks one."""
-    ov = np.abs(prev_pair.conj().T @ vr)  # (2, n): rows old, cols new
-    a, b = _best_overlap(ov[0], eigenvalues), _best_overlap(ov[1], eigenvalues)
-    if a == b:
-        # both prefer the same column: resolve by best joint overlap
-        a2, b2 = _best_overlap(ov[0], eigenvalues, a), _best_overlap(ov[1], eigenvalues, b)
-        if ov[0, a] * ov[1, b2] >= ov[0, a2] * ov[1, b]:
-            b = b2
-        else:
-            a = a2
-    lo = min(ov[0, a], ov[1, b])
-    if lo < overlap_min:
-        raise ModeTrackingError(
-            "mode continuation overlap dropped below threshold",
-            {"J": float(J), "overlap": float(lo), "threshold": overlap_min},
-        )
-    return [a, b]
-
-
-def _track_pair(d, e, dJ, norm, prev_eigs, prev_pair, overlap_min):
+def _track_pair(d, e, dJ, norm, prev_eigs, prev_pair):
     """The tracked pair continued to the tridiagonal matrix (d, e) of norm
     ``norm``, whose hopping is ``dJ`` above the previous one, as
     (eigenvalues, (n, 2) unit vectors); None when any check of ``ep_sweep``
@@ -312,7 +292,7 @@ def _track_pair(d, e, dJ, norm, prev_eigs, prev_pair, overlap_min):
         lam, x, resid = found
         if (resid > RESIDUAL_RTOL * norm
                 or abs(lam - pred) > PREDICTOR_RTOL * abs(step) + floor
-                or abs(np.vdot(r, x)) < overlap_min):
+                or abs(np.vdot(r, x)) < TRACK_OVERLAP_MIN):
             return None
         eigs[k], vecs[:, k] = lam, x
     if abs(eigs[0] - eigs[1]) <= floor:
@@ -333,35 +313,31 @@ def require_interface(spec: LatticeSpec) -> None:
         )
 
 
-def ep_sweep(
-    base: LatticeSpec,
-    J_range: Sequence[float],
-    overlap_min: float = 0.5,
-) -> EPSweepResult:
-    """Sweep the hopping at fixed physical loss and follow the two boundary
-    modes through their coalescence.
+def ep_sweep(base: LatticeSpec, J_range: Sequence[float]) -> EPSweepResult:
+    """Sweep the hopping at fixed physical loss and follow the midgap pair
+    of boundary modes through their coalescence.
 
     ``base`` must pass :func:`require_interface`. Its on-site constants
     beta are held fixed and only the hopping changes, H(J) = diag(beta) +
     J*T with T the 0/1 nearest-neighbour matrix, so the dimensionless loss
-    of each domain shrinks as J grows. At the smallest J a full
-    ``eig_full`` selects the two modes with the largest weight on the
-    interface cell and the outer cell of the second domain, one at a time by
-    the rule of ``_best_overlap``: of the modes whose weight is within
+    of each domain shrinks as J grows. At the smallest J, and at every J
+    where tracking fails, a full ``eig_full`` of H(J) picks the pair from
+    that J alone. The central modes are those whose |Re E - re_beta| is
+    within ``ROUNDING_RTOL * ||H||`` of the second smallest such distance;
+    of them the two with the largest weight on the interface cell and the
+    outer cell of the second domain are taken, one at a time by the rule
+    of ``_best_overlap``: of the modes whose weight is within
     ``OVERLAP_TIE_RTOL`` of the largest one left, the lowest Re E, then the
-    lowest Im E, is taken. At each later J
-    every tracked mode r is first predicted to first order,
-    lambda_pred = lambda_prev + 2 dJ sum_i r_i r_(i+1) / r^T r, and then
-    refined by a c-product Rayleigh-quotient iteration from
+    lowest Im E. At each other J every tracked mode r is first predicted to
+    first order, lambda_pred = lambda_prev + 2 dJ sum_i r_i r_(i+1) / r^T r,
+    and then refined by a c-product Rayleigh-quotient iteration from
     (lambda_pred, r) with tridiagonal solves. The pair is kept if each
     residual is within ``RESIDUAL_RTOL * ||H||``, each eigenvalue lies within
     ``PREDICTOR_RTOL`` of its predicted step (plus a rounding floor), the
     two modes are distinct, no shift was exactly singular and each vector
-    overlaps its predecessor by at least ``overlap_min``. Otherwise, as near
-    a coalescence, ``eig_full`` runs on H(J) and the pair is continued by
-    maximal joint eigenvector overlap, raising :class:`ModeTrackingError`
-    below ``overlap_min``; of overlaps within ``OVERLAP_TIE_RTOL`` of the
-    best, the lowest Re E, then the lowest Im E, wins. Each row of
+    overlaps its predecessor by at least ``TRACK_OVERLAP_MIN``. Where more
+    than two modes are central, a tracked row therefore keeps the pair of
+    the last dense solve even if their weights have crossed since. Each row of
     ``pair_eigenvalues`` lists the higher Re E first; a pair whose Re E
     agree within ``SPECTRUM_ORDER_RTOL * ||H||`` lists the lower Im E first.
     The estimate ``J_ep`` is the separation minimum of the scan, flagged
@@ -386,24 +362,21 @@ def ep_sweep(
         e = np.full(n - 1, J, dtype=complex)
         tracked = None
         if prev_pair is not None:
-            tracked = _track_pair(
-                beta, e, J - J_values[idx - 1], norms[idx],
-                pair_eigs[idx - 1], prev_pair, overlap_min,
-            )
+            tracked = _track_pair(beta, e, J - J_values[idx - 1], norms[idx],
+                                  pair_eigs[idx - 1], prev_pair)
         if tracked is not None:
             pair_eigs[idx], prev_pair = tracked
             conds[idx] = 1.0 / np.abs(_c_products(prev_pair))  # unit vectors
         else:
             spec = eig_full(chain_matrix(beta, J))
-            vr = spec.right_vectors
-            if prev_pair is None:
-                weight = (np.abs(vr[sel_sites, :]) ** 2).sum(axis=0)
-                first = _best_overlap(weight, spec.eigenvalues)
-                pair_idx = [first, _best_overlap(weight, spec.eigenvalues, first)]
-            else:
-                pair_idx = _joint_overlap_pair(prev_pair, vr, spec.eigenvalues, J, overlap_min)
+            eigs, vr = spec.eigenvalues, spec.right_vectors
+            dist = np.abs(eigs.real - base.re_beta)
+            central = dist <= np.partition(dist, 1)[1] + ROUNDING_RTOL * norms[idx]
+            weight = np.where(central, (np.abs(vr[sel_sites, :]) ** 2).sum(axis=0), -np.inf)
+            first = _best_overlap(weight, eigs)
+            pair_idx = [first, _best_overlap(weight, eigs, first)]
             prev_pair = vr[:, pair_idx]
-            pair_eigs[idx] = spec.eigenvalues[pair_idx]
+            pair_eigs[idx] = eigs[pair_idx]
             conds[idx] = spec.condition_numbers[pair_idx]
 
     for row, norm in zip(pair_eigs, norms):

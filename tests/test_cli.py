@@ -494,6 +494,24 @@ class TestRun:
         assert derived["lattice.hopping_J_from_spacing"] == pytest.approx(0.045, rel=1e-9)
         assert derived["lattice.interface.left.g_from_im_beta"] == pytest.approx(1.111, abs=1e-3)
 
+    def test_ep_sweep_of_domains_with_gain_sites(self, tmp_path):
+        # the II|III pair turns complex at one J and real again; it is the
+        # central pair at each J, so the sweep runs through it
+        cfg = {
+            "run": "ep-sweep",
+            "output_dir": str(tmp_path / "out"),
+            "lattice": dict(IFACE, interface={
+                "n_left_cells": 6, "n_right_cells": 6,
+                "left": {"g0": 0.0, "g1": 2.234375, "g2": -1.0},
+                "right": {"g0": 0.0, "g1": 2.234375, "g2": 1.0},
+            }),
+            "params": {"j_min": 0.04, "j_max": 0.12, "j_step": 0.002},
+        }
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
+        summary = json.loads((tmp_path / "out" / "manifest.json").read_text())["summary"]
+        assert summary["J_ep"] == pytest.approx(0.07, abs=1e-12)
+        assert not summary["J_ep_at_scan_edge"]
+
     def test_fig4b_flags_the_quasi_stationary_interface_fits(self, tmp_path):
         fig4b = next(p for p in FIGS if p.stem == "fig4b")
         cfg = dict(json.loads(fig4b.read_text()), output_dir=str(tmp_path / "out"))
@@ -658,6 +676,20 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: NHLATTICE_WORKERS: expected a positive integer")
         assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_points_are_bounded_before_any_is_built(self, tmp_path, monkeypatch, capsys):
+        from nhlattice import cli
+
+        monkeypatch.setattr(cli, "_grid_points", lambda cfg: pytest.fail("grid points built"))
+        cfg = spectrum_config(tmp_path)
+        assert 73 * 137 == cli.MAX_SCAN + 1
+        cfg["grid"] = [{"path": "lattice.pattern.g", "values": [1.1] * 73},
+                       {"path": "lattice.n_sites", "values": [12] * 137}]
+        path = write_config(tmp_path, cfg)
+        for command in ("validate", "run"):
+            assert main([command, path]) == 2
+            assert "error: config.grid: grid points exceed the budget" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_grid_path_must_exist(self, tmp_path):

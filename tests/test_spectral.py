@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from nhlattice import spectral
-from nhlattice.errors import ConfigurationError, ModeTrackingError
+from nhlattice.errors import ConfigurationError
 from nhlattice.lattice import (
     LatticeSpec,
     LossPattern,
@@ -290,51 +290,36 @@ def higher_re_first(pair, tol):
     return pair[::-1] if swap else pair
 
 
-def reference_sweep(base, J_values, overlap_min=0.5):
-    """The tracked pair from an eig_full at every J, continued by maximal
-    joint eigenvector overlap, each row in ``higher_re_first`` order.
-    Returns (pair eigenvalues (n_J, 2), the larger condition number of each
-    pair, ||H|| at each J, whether a continuation was a tie). A tie, two
-    columns overlapping a tracked mode equally, happens where the mode has
-    passed a coalescence with an untracked one; rounding then picks the
-    branch."""
+def reference_sweep(base, J_values):
+    """The pair of the stateless rule from an eig_full at every J, each row
+    in ``higher_re_first`` order. The central modes are those whose
+    |Re E - re_beta| is within 1e-13 ||H|| of the second smallest; of them,
+    the two of largest interface weight, and of weights within 1e-9 of the
+    largest one left, the lowest Re E, then the lowest Im E. Returns (pair
+    eigenvalues (n_J, 2), the larger condition number of each pair, ||H||
+    at each J, the central eigenvalues at each J)."""
     if0 = base.interface_index - 1
     sel = list(range(if0, min(if0 + 4, base.n_sites))) + list(range(base.n_sites - 4, base.n_sites))
-    pairs, conds, norms, prev, tie = [], [], [], None, False
+    pairs, conds, norms, centrals = [], [], [], []
     for j_hop in J_values:
         h = hopping_chain(base, j_hop)
-        spec = eig_full(h)
-        vr = spec.right_vectors
-        if prev is None:
-            # largest interface weight first; of weights within 1e-9 of the
-            # largest one left, the lowest Re E, then the lowest Im E
-            weight = (np.abs(vr[sel]) ** 2).sum(axis=0)
-            idx = []
-            for _ in range(2):
-                left = [i for i in range(weight.size) if i not in idx]
-                top = max(weight[left])
-                near = [i for i in left if weight[i] >= (1 - 1e-9) * top]
-                e = spec.eigenvalues
-                idx.append(min(near, key=lambda i: (e[i].real, e[i].imag)))
-        else:
-            ov = np.abs(prev.conj().T @ vr)
-            o0, o1 = np.argsort(ov[0])[::-1], np.argsort(ov[1])[::-1]
-            tie |= any(abs(o[k[0]] - o[k[1]]) <= 1e-9 for o, k in ((ov[0], o0), (ov[1], o1)))
-            a, b = o0[0], o1[0]
-            if a == b:
-                if ov[0, o0[0]] * ov[1, o1[1]] >= ov[0, o0[1]] * ov[1, o1[0]]:
-                    b = o1[1]
-                else:
-                    a = o0[1]
-            if min(ov[0, a], ov[1, b]) < overlap_min:
-                raise ModeTrackingError("reference lost the pair", {"J": j_hop})
-            idx = [a, b]
-        prev = vr[:, idx]
         norm = np.linalg.norm(h)
-        pairs.append(higher_re_first(spec.eigenvalues[idx], 1e-12 * norm))
+        spec = eig_full(h)
+        e = spec.eigenvalues
+        dist = np.abs(e.real - base.re_beta)
+        central = [i for i in range(e.size) if dist[i] <= sorted(dist)[1] + 1e-13 * norm]
+        weight = (np.abs(spec.right_vectors[sel]) ** 2).sum(axis=0)
+        idx = []
+        for _ in range(2):
+            left = [i for i in central if i not in idx]
+            top = max(weight[left])
+            near = [i for i in left if weight[i] >= (1 - 1e-9) * top]
+            idx.append(min(near, key=lambda i: (e[i].real, e[i].imag)))
+        pairs.append(higher_re_first(e[idx], 1e-12 * norm))
         conds.append(spec.condition_numbers[idx].max())
         norms.append(norm)
-    return np.array(pairs), np.array(conds), np.array(norms), tie
+        centrals.append(e[central])
+    return np.array(pairs), np.array(conds), np.array(norms), centrals
 
 
 def assert_matches_reference(res, pairs, conds, norms):
@@ -357,11 +342,13 @@ def ii_iii_domains(im_beta, flip):
     return pair[::-1] if flip else pair
 
 
+def gain_domains(g0, g1, g2):
+    """(left, right) domains with g2 of opposite sign."""
+    return LossPattern.from_g(g0, g1, -g2), LossPattern.from_g(g0, g1, g2)
+
+
 symmetric_domains = st.builds(ii_iii_domains, im_betas, st.booleans())
-asymmetric_domains = st.builds(
-    lambda g0, g1, g2: (LossPattern.from_g(g0, g1, -g2), LossPattern.from_g(g0, g1, g2)),
-    st.floats(0.0, 2.5), g_values, g_values,
-)
+asymmetric_domains = st.builds(gain_domains, st.floats(0.0, 2.5), g_values, g_values)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -370,17 +357,21 @@ class TestEPSweepTracking:
 
     @settings(deadline=None, max_examples=6)
     @given(domains=st.one_of(symmetric_domains, asymmetric_domains))
+    @example(domains=gain_domains(0.0, 0.375, 2.5))  # four central modes at J = 0.056
     def test_matches_eig_full_at_every_J(self, domains):
         base = interface_lattice(*domains, 6, 6, J, D, re_beta=0.0)
         J_values = np.arange(0.04, 0.12001, 0.002)
-        try:
-            pairs, conds, norms, tie = reference_sweep(base, J_values)
-        except ModeTrackingError:
-            with pytest.raises(ModeTrackingError):
-                ep_sweep(base, J_values)
+        pairs, conds, norms, central = reference_sweep(base, J_values)
+        res = ep_sweep(base, J_values)
+        if all(c.size == 2 for c in central):
+            assert_matches_reference(res, pairs, conds, norms)
             return
-        assume(not tie)
-        assert_matches_reference(ep_sweep(base, J_values), pairs, conds, norms)
+        # with more than two central modes a tracked row keeps the pair of
+        # the last dense solve, whose weights may have crossed since: the
+        # first row follows the rule, and every row stays central
+        assert np.abs(res.pair_eigenvalues[0] - pairs[0]).max() <= 1e-12 * norms[0]
+        for row, c, norm in zip(res.pair_eigenvalues, central, norms):
+            assert np.abs(c[:, None] - row).min(axis=0).max() <= 1e-12 * norm
 
     @pytest.mark.parametrize("left, right, J_values", [
         (LossPattern.trivial(1.1111111111111112), LossPattern.topological(1.1111111111111112),
@@ -400,12 +391,12 @@ class TestEPSweepTracking:
     @settings(deadline=None, max_examples=5)
     @given(domains=st.one_of(symmetric_domains, asymmetric_domains),
            kick=st.floats(-1e-13, 1e-13))
-    @example(
-        domains=(LossPattern.from_g(0.0, 2.234375, -1.0), LossPattern.from_g(0.0, 2.234375, 1.0)),
-        kick=0.0,
-    ).xfail(raises=ModeTrackingError,
-            reason="ep_sweep loses the pair of II|III domains with gain sites (overlap "
-                   "0.46 < 0.5 at J = 0.07); the eig-at-every-J reference loses it too")
+    # II|III domains with gain sites, whose pair turns complex at one J and
+    # real again
+    @example(domains=gain_domains(0.0, 2.234375, 1.0), kick=0.0)
+    @example(domains=gain_domains(0.0, 2.21875, 0.9375), kick=0.0)
+    @example(domains=gain_domains(0.0, 2.15625, 0.875), kick=0.0)
+    @example(domains=gain_domains(0.0, 2.46875, 1.0), kick=0.0)
     def test_rounding_change_of_beta_keeps_row_order(self, domains, kick):
         # beta scaled by 1 + kick, a change the size of its rounding, must
         # not swap the columns of any row or move J_ep
@@ -420,7 +411,8 @@ class TestEPSweepTracking:
 
     def test_first_J_weight_tie_takes_lower_re(self):
         # two modes mirrored about re_beta carry the same interface weight
-        # to rounding; the one with lower Re E is tracked, the other is not
+        # to rounding, but neither is central: the tie is never consulted,
+        # and the first row is the central pair
         base = interface_lattice(
             LossPattern.from_g(2.0, 0.5, -1.0), LossPattern.from_g(2.0, 0.5, 1.0), 6, 6,
             J, D, re_beta=6.6,
@@ -435,8 +427,8 @@ class TestEPSweepTracking:
         low, high = sorted(tied, key=lambda e: e.real)
         assert high.real - low.real > 0.1
         first = ep_sweep(base, np.arange(0.04, 0.12001, 0.001)).pair_eigenvalues[0]
-        assert np.abs(first - low).min() <= 1e-12 * np.linalg.norm(hopping_chain(base, 0.04))
-        assert np.abs(first - high).min() > 0.01
+        assert np.abs(first.real - 6.6).max() <= 1e-12 * np.linalg.norm(hopping_chain(base, 0.04))
+        assert np.abs(first - low).min() > 0.01 and np.abs(first - high).min() > 0.01
 
         # weights w, w - 0.8 tol, w - 1.6 tol do not chain into one tie: the
         # third is farther than tol from the largest, so its lower Re E
@@ -449,50 +441,38 @@ class TestEPSweepTracking:
             first = _best_overlap(weight, eigs)
             assert [first, _best_overlap(weight, eigs, first)] == pair
 
-    def test_overlap_tie_takes_lower_re(self, monkeypatch):
-        # at J = 0.06 a tracked mode has just passed a coalescence and
-        # overlaps the two modes it split into equally, to 4e-16; beta
-        # changed at the size of its rounding must not flip the sign of the
-        # tracked Re E from then on
-        J_values = np.arange(0.04, 0.12001, 0.005)
-        onsite = LatticeSpec.onsite_values
+    def test_flipped_domains_pair_the_left_edge_with_the_interface(self):
+        # III|II: the central pair is the III domain's two edge modes, at the
+        # outer left edge and at the interface, hybridized; the lossy modes
+        # at the trivial right end carry more weight on the selected sites
+        # but are not central
+        base = interface_lattice(*ii_iii_domains(0.125, True), 6, 6, J, D, re_beta=6.6)
+        first = ep_sweep(base, np.arange(0.04, 0.12001, 0.002)).pair_eigenvalues[0]
+        spec = eig_full(hopping_chain(base, 0.04))
+        nearest = np.argsort(np.abs(spec.eigenvalues.real - 6.6))
+        assert np.abs(spec.eigenvalues[nearest[2]].real - 6.6) > 0.5 * J
+        for e in first:
+            i = np.argmin(np.abs(spec.eigenvalues - e))
+            assert abs(spec.eigenvalues[i] - e) <= 1e-12 * np.linalg.norm(hopping_chain(base, 0.04))
+            assert i in nearest[:2]
+            dens = np.abs(spec.right_vectors[:, i]) ** 2
+            assert dens[:4].sum() > 0.4 and dens[24:28].sum() > 0.2 and dens[-4:].sum() < 1e-9
+
+    def test_overdamped_chain_picks_two_central_modes(self):
+        # 24 modes have Re E = re_beta, so all are central; the first row is
+        # the two of largest interface weight, and a change of beta at the
+        # size of its rounding moves no row
+        J_values = np.arange(0.04, 0.12001, 0.002)
         runs = []
-        for scale in (1.0, 1.0 + 4e-16, 1.0 - 4e-16):
-            monkeypatch.setattr(LatticeSpec, "onsite_values",
-                                lambda self, s=scale: onsite(self) * s)
-            base = interface_lattice(
-                LossPattern.from_g(0, 0.25, -1.25), LossPattern.from_g(0, 0.25, 1.25), 4, 4,
-                J, D, re_beta=0.0,
-            )
-            runs.append(ep_sweep(base, J_values).pair_eigenvalues[J_values > 0.0599])
-        for run in runs:
-            assert np.array_equal(np.sign(run.real), np.sign(runs[0].real))
-        assert np.all(runs[0][:, 0].real < 0)  # the lower of the two split modes
+        for hop in (J, J * (1.0 + 1e-13)):
+            base = interface_lattice(*gain_domains(1.0, 0.5, 2.5), 6, 6, hop, D, re_beta=6.6)
+            runs.append(ep_sweep(base, J_values).pair_eigenvalues)
+        pairs, _, norms, central = reference_sweep(base, J_values[:1])
+        assert central[0].size == 24
+        assert np.abs(runs[1][0] - pairs[0]).max() <= 1e-12 * norms[0]
+        assert np.abs(runs[0] - runs[1]).max() <= 1e-12 * norms[0]
 
-        # the benchmark's asymmetric sweep on the J grid an ep-sweep config
-        # scans, j_min + i * j_step, meets such a tie (to 6e-13) at J = 0.067.
-        # Rounding used to take the upper branch there: from then on mode a
-        # is the mirror image 2 re_beta - conj(E) of those rows, which are
-        # kept here as written by the earlier ep_sweep.csv
-        base = interface_lattice(
-            LossPattern.from_g(2.0, 0.5, -1.0), LossPattern.from_g(2.0, 0.5, 1.0), 6, 6,
-            J, D, re_beta=6.6,
-        )
-        res = ep_sweep(base, [0.04 + i * 0.001 for i in range(81)])
-        earlier = {
-            26: (6.6000000000000414 - 0.085500484280553027j,
-                 6.4856833182826215 - 0.099894650672245011j),
-            27: (6.6009335669443185 - 0.086380997495529813j,
-                 6.4836727134576453 - 0.099586664205758693j),
-            80: (6.6077063131469718 - 0.088693211181667328j,
-                 6.3782893041667528 - 0.09293192456121932j),
-        }
-        bound = 1e-12 * np.linalg.norm(hopping_chain(base, 0.12))
-        for row, (a, b) in earlier.items():
-            if row > 26:
-                a = 2 * 6.6 - np.conj(a)
-            assert np.abs(res.pair_eigenvalues[row] - [a, b]).max() <= bound
-
+    def test_overlap_tie_takes_lower_re(self):
         # overlaps within the tolerance tie, and the lower Re E, then the
         # lower Im E, wins; a column farther off does not join the tie
         tol = spectral.OVERLAP_TIE_RTOL
@@ -589,17 +569,6 @@ class TestEPSweep:
         iface = interface_lattice(left, right, 6, 6, J, D)
         with pytest.raises(ConfigurationError, match="no interface"):
             ep_sweep(iface, np.arange(0.04, 0.12001, 0.001))
-
-    @pytest.mark.parametrize("J_values, overlap_min", [
-        ([0.04, 0.12], 0.9),
-        (np.arange(0.04, 0.06001, 0.001), 0.9999),
-    ], ids=["across-ep", "tracked-step"])
-    def test_overlap_drop_still_raises(self, J_values, overlap_min):
-        # one step across the coalescence leaves no continuation above 0.9;
-        # below it, each 0.001 step turns the tracked vectors by more than
-        # 1 - 0.9999 while predictor and residual checks pass
-        with pytest.raises(ModeTrackingError):
-            ep_sweep(ii_iii_interface(1.1111111111111112), J_values, overlap_min=overlap_min)
 
     def test_exactly_singular_shift_falls_back(self, monkeypatch):
         # at J = 0 the chain is diag(beta), so the tracked vectors are exact
